@@ -13,12 +13,8 @@ from .engine import (
     LongTermResult,
     SimConfig,
     SimResult,
-    StabilityCondition,
-    StabilityVerdict,
-    check_stability,
     default_horizon,
     monte_carlo,
-    require_stable,
     run_long_term,
     run_single,
 )
@@ -49,8 +45,12 @@ from .graphs import (
 from .regularized import (
     BiasReport,
     RegularizedSolution,
+    StabilityCondition,
+    StabilityVerdict,
+    check_stability,
     long_term_bias,
     pareto_solution,
+    require_stable,
     solve_regularized,
     spectral_filter_solution,
 )

@@ -12,8 +12,8 @@ All take ``--config`` (flat-key file, see config.py) plus optional ``--out``,
 ``--seed`` and ``--jobs`` overrides.  Outputs are CSV (always linear scale)
 and native SVG (decibels applied at render time); every file starts with
 ``#``-prefixed metadata lines carrying the config digest, the effective seed
-and the module versions.  Exit codes: 0 ok, 2 config error, 3 stability
-violation, 4 numerical divergence.
+and the module versions.  Exit codes: 0 ok, 2 config or other input error,
+3 stability violation, 4 numerical divergence or singular system.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from .config import ExperimentConfig, build_ensemble, build_graph, load_config
 from .engine import SimConfig, monte_carlo
 from .errors import (
     ConfigError,
-    DimensionMismatch,
-    GraphError,
+    MtdiffError,
     NonUniformProfile,
     NumericalDivergence,
     SingularSystem,
@@ -156,9 +155,7 @@ def cmd_theory(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
 def cmd_simulate(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
     mu = _single(cfg.algo.mu, "algo.mu")
     eta = _single(cfg.algo.eta, "algo.eta")
-    sim = SimConfig.for_problem(
-        ens,
-        g,
+    sim = SimConfig(
         mu=mu,
         eta=eta,
         n_iters=cfg.algo.n_iters,
@@ -282,14 +279,13 @@ def cmd_sweep_eta(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
     if grid.size == 0 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
         raise ConfigError("sweep-eta needs an ascending algo.eta grid starting at 0")
     sweep = optimize_eta(ens, g, mu, grid)
-    reports = [theory_report(ens, g, mu, float(eta)) for eta in grid]
 
     out = _out_dir(cfg)
     meta = _metadata(cfg, "sweep-eta") + [f"eta-star = {sweep.eta_star:g}"]
     if "csv" in cfg.output.formats:
         rows = [
             [r.eta, r.msd_bar, r.msd_total, r.mismatch_sq, r.bias_cross_term]
-            for r in reports
+            for r in sweep.reports
         ]
         _write_csv(
             out / "sweep.csv",
@@ -302,9 +298,7 @@ def cmd_sweep_eta(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
     if cfg.sweep.spot_check:
         check_etas = sorted({0.0, sweep.eta_star, float(grid[-1])})
         for eta in check_etas:
-            sim = SimConfig.for_problem(
-                ens,
-                g,
+            sim = SimConfig(
                 mu=mu,
                 eta=eta,
                 n_iters=cfg.algo.n_iters,
@@ -466,13 +460,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         g = build_graph(cfg)
         ens = build_ensemble(cfg, g)
         args.func(cfg, g, ens)
-    except (ConfigError, GraphError, DimensionMismatch, NonUniformProfile) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except UnstableConfiguration as exc:
         print(f"stability violation: {exc}", file=sys.stderr)
         return 3
     except (NumericalDivergence, SingularSystem) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
+    except MtdiffError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     return 0

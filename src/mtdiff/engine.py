@@ -4,7 +4,8 @@ Each iteration every node takes a stochastic-gradient step on its own data
 (adapt) and then moves toward its neighbors' intermediate estimates, weighted
 by the graph and the regularization strength (combine).  The engine also
 advances the linearized long-term error recursion in lockstep with the same
-noise so the two can be compared pathwise.
+noise so the two can be compared pathwise.  Every entry point refuses an
+inadmissible (mu, eta) through the stability checks of the regularized module.
 
 Reproducibility contract
 ------------------------
@@ -26,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalDivergence, UnstableConfiguration
+from .errors import NumericalDivergence
 from .graphs import Graph
-from .regularized import solve_regularized
+from .regularized import require_stable, solve_regularized
 from .tasks import TaskEnsemble
 
 #: Runs per reduction block; fixed (never derived from the worker count) so the
@@ -41,92 +42,6 @@ CHUNK_ITERS = 512
 
 #: Per-iteration error threshold beyond which a run is declared divergent.
 DIVERGENCE_GUARD = 1e12
-
-
-@dataclass(frozen=True)
-class StabilityCondition:
-    """One admissibility bound with its measured value."""
-
-    name: str
-    description: str
-    value: float
-    bound: float
-    strict: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.value < self.bound if self.strict else self.value <= self.bound
-
-    @property
-    def margin(self) -> float:
-        return self.bound - self.value
-
-
-@dataclass(frozen=True)
-class StabilityVerdict:
-    conditions: tuple[StabilityCondition, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.conditions)
-
-    def failed_messages(self) -> list[str]:
-        return [
-            f"{c.name}: {c.description} (value {c.value:.6g} vs bound {c.bound:.6g})"
-            for c in self.conditions
-            if not c.ok
-        ]
-
-
-def check_stability(
-    ensemble: TaskEnsemble, g: Graph, mu: float, eta: float
-) -> StabilityVerdict:
-    """Evaluate the three step-size admissibility conditions.
-
-    The combine step must contract on the graph (mu*eta against both the
-    Laplacian spectral radius and the heaviest weighted neighborhood), and the
-    adapt step must contract against the stiffest local curvature.  Returns a
-    verdict listing each condition with its margin instead of raising.
-    """
-    lam_max = g.lambda_max
-    max_deg = g.max_degree
-    curv = max(
-        float(np.linalg.eigvalsh(ensemble.hessian(k)).max())
-        for k in range(ensemble.n_agents)
-    )
-    conditions = (
-        StabilityCondition(
-            name="laplacian-spectrum",
-            description="mu*eta <= 2 / lambda_max(L)",
-            value=mu * eta,
-            bound=(2.0 / lam_max) if lam_max > 0 else math.inf,
-            strict=False,
-        ),
-        StabilityCondition(
-            name="neighborhood-weight",
-            description="mu*eta <= 1 / max_k sum_l a_kl",
-            value=mu * eta,
-            bound=(1.0 / max_deg) if max_deg > 0 else math.inf,
-            strict=False,
-        ),
-        StabilityCondition(
-            name="local-curvature",
-            description="mu < min_k 2 / lambda_max(R_uk)",
-            value=mu,
-            bound=2.0 / curv,
-            strict=True,
-        ),
-    )
-    return StabilityVerdict(conditions=conditions)
-
-
-def require_stable(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> None:
-    verdict = check_stability(ensemble, g, mu, eta)
-    if not verdict.ok:
-        raise UnstableConfiguration(
-            "unstable (mu, eta): " + "; ".join(verdict.failed_messages()),
-            failed=tuple(c.name for c in verdict.conditions if not c.ok),
-        )
 
 
 def default_horizon(ensemble: TaskEnsemble, mu: float) -> int:

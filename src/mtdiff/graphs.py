@@ -20,6 +20,7 @@ from .errors import (
     DimensionMismatch,
     Disconnected,
     GraphError,
+    MtdiffError,
     NegativeWeight,
     NonzeroDiagonal,
     NotSymmetric,
@@ -47,6 +48,8 @@ class StackedSignal:
                 f"stacked signal needs {self.n_agents * self.block_dim} entries, "
                 f"got {vals.size}"
             )
+        if not np.all(np.isfinite(vals)):
+            raise MtdiffError("stacked signal entries must be finite")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -118,7 +121,7 @@ def _fix_eigenvector_signs(vecs: np.ndarray) -> np.ndarray:
 def build_graph(adjacency: np.ndarray) -> Graph:
     """Validate an adjacency matrix and assemble the spectral graph object.
 
-    The matrix must be square, symmetric (within 1e-12), entrywise
+    The matrix must be square, finite, symmetric (within 1e-12), entrywise
     nonnegative, and zero on the diagonal; the resulting graph must be
     connected.  Eigenvalues come back sorted ascending with the structural
     zero first.
@@ -129,6 +132,8 @@ def build_graph(adjacency: np.ndarray) -> Graph:
     n = adj.shape[0]
     if n < 1:
         raise GraphError("graph needs at least one node")
+    if not np.all(np.isfinite(adj)):
+        raise GraphError("adjacency entries must be finite")
     asym = float(np.max(np.abs(adj - adj.T))) if n > 1 else 0.0
     if asym > 1e-12:
         raise NotSymmetric(f"adjacency asymmetry {asym:.3e} exceeds 1e-12")

@@ -5,11 +5,13 @@ built-in quadratic costs the minimizer solves the SPD linear system
 (H + eta * (L kron I)) W = H W0 with H = blockdiag{R_uk}, which also yields
 the limiting consensus solution (eta -> infinity), the per-frequency low-pass
 view for uniform covariance profiles, and the steady-state offset that the
-adaptive recursion carries at finite step-size.
+adaptive recursion carries at finite step-size.  The step-size stability
+checks, which the engine and the theory module run first, live here too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +43,92 @@ class BiasReport:
     eta: float
     bias_vector: np.ndarray
     bias_sq_norm: float
+
+
+@dataclass(frozen=True)
+class StabilityCondition:
+    """One admissibility bound with its measured value."""
+
+    name: str
+    description: str
+    value: float
+    bound: float
+    strict: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.value < self.bound if self.strict else self.value <= self.bound
+
+    @property
+    def margin(self) -> float:
+        return self.bound - self.value
+
+
+@dataclass(frozen=True)
+class StabilityVerdict:
+    conditions: tuple[StabilityCondition, ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(c.ok for c in self.conditions)
+
+    def failed_messages(self) -> list[str]:
+        return [
+            f"{c.name}: {c.description} (value {c.value:.6g} vs bound {c.bound:.6g})"
+            for c in self.conditions
+            if not c.ok
+        ]
+
+
+def check_stability(
+    ensemble: TaskEnsemble, g: Graph, mu: float, eta: float
+) -> StabilityVerdict:
+    """Evaluate the three step-size admissibility conditions.
+
+    The combine step must contract on the graph (mu*eta against both the
+    Laplacian spectral radius and the heaviest weighted neighborhood), and the
+    adapt step must contract against the stiffest local curvature.  Returns a
+    verdict listing each condition with its margin instead of raising.
+    """
+    lam_max = g.lambda_max
+    max_deg = g.max_degree
+    curv = max(
+        float(np.linalg.eigvalsh(ensemble.hessian(k)).max())
+        for k in range(ensemble.n_agents)
+    )
+    conditions = (
+        StabilityCondition(
+            name="laplacian-spectrum",
+            description="mu*eta <= 2 / lambda_max(L)",
+            value=mu * eta,
+            bound=(2.0 / lam_max) if lam_max > 0 else math.inf,
+            strict=False,
+        ),
+        StabilityCondition(
+            name="neighborhood-weight",
+            description="mu*eta <= 1 / max_k sum_l a_kl",
+            value=mu * eta,
+            bound=(1.0 / max_deg) if max_deg > 0 else math.inf,
+            strict=False,
+        ),
+        StabilityCondition(
+            name="local-curvature",
+            description="mu < min_k 2 / lambda_max(R_uk)",
+            value=mu,
+            bound=2.0 / curv,
+            strict=True,
+        ),
+    )
+    return StabilityVerdict(conditions=conditions)
+
+
+def require_stable(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> None:
+    verdict = check_stability(ensemble, g, mu, eta)
+    if not verdict.ok:
+        raise UnstableConfiguration(
+            "unstable (mu, eta): " + "; ".join(verdict.failed_messages()),
+            failed=tuple(c.name for c in verdict.conditions if not c.ok),
+        )
 
 
 def _stacked_hessian(ensemble: TaskEnsemble, at: np.ndarray | None = None) -> np.ndarray:
@@ -137,10 +225,6 @@ def spectral_filter_solution(
     return out
 
 
-def _combine_matrix(g: Graph, m: int, mu: float, eta: float) -> np.ndarray:
-    return np.eye(g.n_agents * m) - mu * eta * _stacked_laplacian(g, m)
-
-
 def long_term_bias(
     ensemble: TaskEnsemble, g: Graph, mu: float, eta: float
 ) -> BiasReport:
@@ -153,23 +237,21 @@ def long_term_bias(
     Raises UnstableConfiguration when any step-size condition fails, naming
     the violated bounds.
     """
-    # Imported here to avoid a cycle: the engine needs this module's solver.
-    from .engine import check_stability
+    require_stable(ensemble, g, mu, eta)
+    return _long_term_bias(ensemble, g, mu, solve_regularized(ensemble, g, eta))
 
-    verdict = check_stability(ensemble, g, mu, eta)
-    if not verdict.ok:
-        raise UnstableConfiguration(
-            "unstable (mu, eta): " + "; ".join(verdict.failed_messages()),
-            failed=tuple(c.name for c in verdict.conditions if not c.ok),
-        )
-    n, m = ensemble.n_agents, ensemble.dim
-    reg = solve_regularized(ensemble, g, eta)
+
+def _long_term_bias(
+    ensemble: TaskEnsemble, g: Graph, mu: float, reg: RegularizedSolution
+) -> BiasReport:
+    """long_term_bias at an already admissible point, given its solution."""
+    n, m, eta = ensemble.n_agents, ensemble.dim, reg.eta
     if eta == 0.0:
         bias = np.zeros(n * m)
         return BiasReport(mu=float(mu), eta=0.0, bias_vector=bias, bias_sq_norm=0.0)
     lap = _stacked_laplacian(g, m)
     hess = _stacked_hessian(ensemble, at=reg.solution.blocks)
-    b_eta = _combine_matrix(g, m, mu, eta) @ (np.eye(n * m) - mu * hess)
+    b_eta = (np.eye(n * m) - mu * eta * lap) @ (np.eye(n * m) - mu * hess)
     rhs = (mu * eta) ** 2 * (lap @ (lap @ reg.solution.values))
     bias = np.linalg.solve(np.eye(n * m) - b_eta, rhs)
     return BiasReport(

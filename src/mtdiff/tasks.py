@@ -43,6 +43,8 @@ class TaskEnsemble:
             )
         if nv.shape != (n,):
             raise DimensionMismatch(f"noise_var must have {n} entries, got {nv.shape}")
+        if not (np.all(np.isfinite(covs)) and np.all(np.isfinite(nv))):
+            raise MtdiffError("regressor covariances and noise variances must be finite")
         if np.any(nv <= 0.0):
             raise MtdiffError("every noise variance must be positive")
         sym_err = float(np.max(np.abs(covs - covs.transpose(0, 2, 1))))

@@ -19,14 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import require_stable
 from .errors import NonUniformProfile
 from .graphs import Graph
 from .regularized import (
     RegularizedSolution,
+    _long_term_bias,
     _stacked_hessian,
     _stacked_laplacian,
-    long_term_bias,
+    require_stable,
     solve_regularized,
 )
 from .tasks import TaskEnsemble
@@ -71,11 +71,10 @@ def noise_covariance(
 
 
 def _per_frequency_terms(
-    ensemble: TaskEnsemble, g: Graph, mu: float, eta: float
+    ensemble: TaskEnsemble, g: Graph, mu: float, reg: RegularizedSolution
 ) -> np.ndarray:
     """Summands of the steady-state predictor, one per graph frequency."""
-    n, m = ensemble.n_agents, ensemble.dim
-    reg = solve_regularized(ensemble, g, eta)
+    n, m, eta = ensemble.n_agents, ensemble.dim, reg.eta
     noise = np.stack([noise_covariance(ensemble, k, reg) for k in range(n)])
     hess = np.stack([ensemble.hessian(k, reg.solution.block(k)) for k in range(n)])
     weights = g.eigenvectors**2  # [m accesses column m]
@@ -96,7 +95,8 @@ def msd_theory(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> Theor
     their sum.  Use theory_report() for the fully populated report.
     """
     require_stable(ensemble, g, mu, eta)
-    terms = _per_frequency_terms(ensemble, g, mu, eta)
+    reg = solve_regularized(ensemble, g, eta)
+    terms = _per_frequency_terms(ensemble, g, mu, reg)
     return TheoryReport(
         mu=float(mu),
         eta=float(eta),
@@ -134,21 +134,9 @@ def msd_uniform(
     """
     if not ensemble.is_uniform:
         raise NonUniformProfile("uniform-profile predictor needs a common R_u")
-    require_stable(ensemble, g, mu, eta)
+    total = theory_report(ensemble, g, mu, eta).msd_uniform
     n = ensemble.n_agents
-    reg = solve_regularized(ensemble, g, eta)
-    noise = np.stack(
-        [noise_covariance(ensemble, k, reg) for k in range(n)]
-    )
-    r_u = ensemble.regressor_cov[0]
-    eye = np.eye(ensemble.dim)
-    weights = g.eigenvectors**2
-    total = 0.0
-    for idx in range(n):
-        a = r_u + eta * g.eigenvalues[idx] * eye
-        b = np.einsum("k,kij->ij", weights[:, idx], noise)
-        total += mu / (2.0 * n) * float(np.trace(np.linalg.solve(a, b)))
-    lam_u = np.linalg.eigvalsh(r_u)
+    lam_u = np.linalg.eigvalsh(ensemble.regressor_cov[0])
     sigma_v = float(ensemble.noise_var.mean())
     per_lambda = np.array(
         [
@@ -156,7 +144,7 @@ def msd_uniform(
             for lam in g.eigenvalues
         ]
     )
-    return float(total), per_lambda
+    return total, per_lambda
 
 
 def msd_bar(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> float:
@@ -167,31 +155,37 @@ def msd_bar(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> float:
     mean offset.  Large penalties can push this above the non-cooperative
     baseline when the targets are not smooth.
     """
-    report = msd_theory(ensemble, g, mu, eta)
-    reg = solve_regularized(ensemble, g, eta)
-    bias = long_term_bias(ensemble, g, mu, eta)
-    n = ensemble.n_agents
-    mismatch = ensemble.targets.values - reg.solution.values
-    cross = 2.0 / n * float(mismatch @ bias.bias_vector)
-    return report.msd_total + reg.mismatch_sq / n + cross
+    return theory_report(ensemble, g, mu, eta).msd_bar
 
 
 def theory_report(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> TheoryReport:
     """Fully populated report at one (mu, eta) point."""
-    base = msd_theory(ensemble, g, mu, eta)
+    require_stable(ensemble, g, mu, eta)
     reg = solve_regularized(ensemble, g, eta)
-    bias = long_term_bias(ensemble, g, mu, eta)
+    terms = _per_frequency_terms(ensemble, g, mu, reg)
+    msd_total = float(terms.sum())
+    bias = _long_term_bias(ensemble, g, mu, reg)
     n = ensemble.n_agents
     mismatch = ensemble.targets.values - reg.solution.values
     cross = 2.0 / n * float(mismatch @ bias.bias_vector)
-    uniform = msd_uniform(ensemble, g, mu, eta)[0] if ensemble.is_uniform else None
+    uniform = None
+    if ensemble.is_uniform:  # curvature R_u + eta*lambda_m*I; see msd_uniform
+        noise = np.stack([noise_covariance(ensemble, k, reg) for k in range(n)])
+        r_u = ensemble.regressor_cov[0]
+        eye = np.eye(ensemble.dim)
+        weights = g.eigenvectors**2
+        uniform = 0.0
+        for idx in range(n):
+            a = r_u + eta * g.eigenvalues[idx] * eye
+            b = np.einsum("k,kij->ij", weights[:, idx], noise)
+            uniform += mu / (2.0 * n) * float(np.trace(np.linalg.solve(a, b)))
     return TheoryReport(
-        mu=base.mu,
-        eta=base.eta,
-        msd_total=base.msd_total,
-        msd_per_frequency=base.msd_per_frequency,
+        mu=float(mu),
+        eta=float(eta),
+        msd_total=msd_total,
+        msd_per_frequency=terms,
         msd_noncoop=msd_noncoop(ensemble, mu),
-        msd_bar=base.msd_total + reg.mismatch_sq / n + cross,
+        msd_bar=msd_total + reg.mismatch_sq / n + cross,
         msd_uniform=uniform,
         mismatch_sq=reg.mismatch_sq,
         bias_cross_term=cross,
@@ -200,11 +194,12 @@ def theory_report(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> Th
 
 @dataclass(frozen=True, eq=False)
 class EtaSweep:
-    """Grid-search result for the penalty strength."""
+    """Grid-search result for the penalty strength, with every grid point's report."""
 
     eta_star: float
     etas: np.ndarray
     msd_bar_curve: np.ndarray
+    reports: tuple[TheoryReport, ...]
 
 
 def optimize_eta(
@@ -223,11 +218,12 @@ def optimize_eta(
         raise ValueError("eta grid must be strictly ascending")
     if grid[0] != 0.0:
         raise ValueError("eta grid must include 0")
-    values = np.empty(grid.size)
-    for i, eta in enumerate(grid):
-        values[i] = msd_bar(ensemble, g, mu, float(eta))
+    reports = tuple(theory_report(ensemble, g, mu, float(eta)) for eta in grid)
+    values = np.array([r.msd_bar for r in reports])
     best = int(np.argmin(values))  # first minimum = smallest eta on ties
-    return EtaSweep(eta_star=float(grid[best]), etas=grid, msd_bar_curve=values)
+    return EtaSweep(
+        eta_star=float(grid[best]), etas=grid, msd_bar_curve=values, reports=reports
+    )
 
 
 def lyapunov_msd(

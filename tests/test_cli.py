@@ -266,6 +266,25 @@ class TestErrorPaths:
         (tmp_path / "ring.edges").write_text("1 2 -0.5\n")
         assert main(["theory", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
 
+    @pytest.mark.parametrize(
+        "profile, edges",
+        [
+            ("1.0 0.1\n" * 4 + "1.0 nan\n", RING),
+            ("1.0 0.1\n" * 4 + "1.0 -1\n", RING),
+            ("1.0 0.1\n" * 5, RING.replace("0.2", "nan", 1)),
+        ],
+        ids=["nan-noise-variance", "negative-noise-variance", "nan-edge-weight"],
+    )
+    def test_bad_numeric_input_exits_2(self, tmp_path, profile, edges):
+        cfg = _write_config(
+            tmp_path,
+            {"ensemble.profile": "file", "ensemble.profile_path": "profile.txt"},
+            drop=("ensemble.sigma_u_sq", "ensemble.sigma_v_sq"),
+        )
+        (tmp_path / "profile.txt").write_text(profile)
+        (tmp_path / "ring.edges").write_text(edges)
+        assert main(["theory", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+
     def test_bad_seed_override_exits_2(self, tmp_path):
         cfg = _write_config(tmp_path)
         assert main(

@@ -248,7 +248,7 @@ class TestConfigAndStability:
 
     def test_condition_names_and_edge_semantics(self, bench_graph):
         ens = _uniform_ensemble(15, 2)
-        verdict = engine.check_stability(ens, bench_graph, 1e-3, 5.0)
+        verdict = mt.check_stability(ens, bench_graph, 1e-3, 5.0)
         assert [c.name for c in verdict.conditions] == [
             "laplacian-spectrum",
             "neighborhood-weight",
@@ -256,7 +256,7 @@ class TestConfigAndStability:
         ]
         assert verdict.ok
         # network bounds are inclusive...
-        edge = engine.check_stability(
+        edge = mt.check_stability(
             ens, bench_graph, 1.0, 1.0 / bench_graph.max_degree
         )
         by_name = {c.name: c for c in edge.conditions}
@@ -265,7 +265,7 @@ class TestConfigAndStability:
         ].bound
         assert by_name["neighborhood-weight"].ok
         # ...the curvature bound is strict (R_u = I here, so the bound is 2)
-        curv = engine.check_stability(ens, bench_graph, 2.0, 0.0)
+        curv = mt.check_stability(ens, bench_graph, 2.0, 0.0)
         assert not {c.name: c for c in curv.conditions}["local-curvature"].ok
 
     def test_unstable_simulation_refused(self, het_ensemble, bench_graph):

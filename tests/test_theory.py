@@ -160,6 +160,41 @@ class TestOptimizeEta:
             )
 
 
+class TestOneSolvePerPoint:
+    """Every theory entry point checks stability once and solves once per eta."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+        for name in ("solve_regularized", "check_stability"):
+            original = getattr(mt, name)
+            counts[name] = 0
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (mt.engine, mt.regularized, mt.theory):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def test_theory_report(self, calls, uni_ensemble, bench_graph):
+        mt.theory_report(uni_ensemble, bench_graph, 1e-3, 5.0)
+        assert calls == {"solve_regularized": 1, "check_stability": 1}
+
+    def test_msd_bar(self, calls, het_ensemble, bench_graph):
+        mt.msd_bar(het_ensemble, bench_graph, 1e-3, 5.0)
+        assert calls == {"solve_regularized": 1, "check_stability": 1}
+
+    def test_optimize_eta_keeps_its_reports(self, calls, het_ensemble, bench_graph):
+        grid = np.array([0.0, 1.0, 5.0])
+        sweep = mt.optimize_eta(het_ensemble, bench_graph, 1e-3, grid)
+        assert calls == {"solve_regularized": 3, "check_stability": 3}
+        assert [r.eta for r in sweep.reports] == list(grid)
+        assert np.array_equal(sweep.msd_bar_curve, [r.msd_bar for r in sweep.reports])
+
+
 def _uniform_cov_problem(seed: int, n: int = 4, m: int = 2):
     """Common regressor covariance: the per-frequency predictor is exact up to
     the O(mu) finite-step correction, so the series route must agree tightly."""
