@@ -85,7 +85,7 @@ MODULE_VERSIONS = {
     "graphs": 1,
     "tasks": 1,
     "regularized": 1,
-    "engine": 1,
+    "engine": 2,
     "theory": 1,
 }
 

@@ -27,6 +27,7 @@ Example
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable
@@ -266,10 +267,10 @@ def _validate(sections: dict[str, Any]) -> None:
     for name, rng in (("sigma_u_range", e.sigma_u_range), ("sigma_v_range", e.sigma_v_range)):
         if len(rng) != 2 or rng[0] <= 0.0 or rng[1] < rng[0]:
             raise ConfigError(f"ensemble.{name} must be 'lo, hi' with 0 < lo <= hi")
-    if not a.mu or any(m <= 0.0 for m in a.mu):
-        raise ConfigError("algo.mu must list at least one positive step size")
-    if not a.eta or any(h < 0.0 for h in a.eta):
-        raise ConfigError("algo.eta must list at least one nonnegative value")
+    if not a.mu or not all(math.isfinite(m) and m > 0.0 for m in a.mu):
+        raise ConfigError("algo.mu must list at least one finite positive step size")
+    if not a.eta or not all(math.isfinite(h) and h >= 0.0 for h in a.eta):
+        raise ConfigError("algo.eta must list at least one finite nonnegative value")
     if a.n_iters < 0 or a.n_runs < 1 or a.jobs < 1:
         raise ConfigError("algo.n_iters >= 0, n_runs >= 1 and jobs >= 1 required")
     if a.seed < 0 or a.seed > 0xFFFFFFFFFFFFFFFF:

@@ -7,6 +7,22 @@ advances the linearized long-term error recursion in lockstep with the same
 noise so the two can be compared pathwise.  Every entry point refuses an
 inadmissible (mu, eta) through the stability checks of the regularized module.
 
+State layout
+------------
+A block of runs is simulated in the error coordinates X = W_tgt - W, stored
+node-major with the runs last, shape (N, M, runs).  One iteration is
+
+    X <- A (X - mu u (u.X + v)) + c,    A = I - mu*eta*L,  c = mu*eta*L W_tgt,
+
+so the combine step is a single (N x N) @ (N, M*runs) product with A and c
+computed once per simulation.  With exact gradients the adapt step is
+X - mu R X instead, and the long-term recursion runs in the same coordinates.
+Each chunk of CHUNK_ITERS iterations draws its normals, maps them to
+regressors with one batched Cholesky product, and keeps its states so the
+error curves and window sums are reduced once per chunk.  A block's buffers
+hold a few arrays of BLOCK_RUNS * CHUNK_ITERS * N * (M+1) floats (about
+3 MB each at N=15, M=5), whatever the horizon.
+
 Reproducibility contract
 ------------------------
 Every Monte Carlo run r draws from its own counter-based stream,
@@ -23,7 +39,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,9 +52,9 @@ from .tasks import TaskEnsemble
 #: floating-point reduction order is schedule-independent.
 BLOCK_RUNS = 64
 
-#: Iterations drawn and processed per chunk; bounds memory at
-#: O(BLOCK_RUNS * CHUNK_ITERS * N * (M+1)) regardless of horizon.
-CHUNK_ITERS = 512
+#: Iterations drawn and processed per chunk.  Small enough that a block's
+#: chunk buffers stay near the cache; 32 to 128 ran equally fast.
+CHUNK_ITERS = 64
 
 #: Per-iteration error threshold beyond which a run is declared divergent.
 DIVERGENCE_GUARD = 1e12
@@ -74,10 +90,10 @@ class SimConfig:
     exact_gradient: bool = False
 
     def __post_init__(self):
-        if self.mu <= 0.0:
-            raise ValueError("mu must be positive")
-        if self.eta < 0.0:
-            raise ValueError("eta must be nonnegative")
+        if not (math.isfinite(self.mu) and self.mu > 0.0):
+            raise ValueError("mu must be finite and positive")
+        if not (math.isfinite(self.eta) and self.eta >= 0.0):
+            raise ValueError("eta must be finite and nonnegative")
         if self.n_iters < 0 or self.n_runs < 1:
             raise ValueError("n_iters must be >= 0 and n_runs >= 1")
         if not (0.0 < self.steady_window_frac <= 1.0):
@@ -135,26 +151,30 @@ class LongTermResult:
 
 
 class _Problem:
-    """Precomputed constants shared by every run of one simulation."""
+    """Precomputed constants shared by every run of one simulation.
+
+    They live in the error coordinates X = W_tgt - W: comb is
+    A = I - mu*eta*L, drive is c = mu*eta*L W_tgt, offset is W_tgt - W0_eta
+    and x_init is the initial error; _run_block repeats the last three,
+    (N, M) each, along a trailing run axis.
+    """
 
     def __init__(self, ensemble: TaskEnsemble, g: Graph, cfg: SimConfig):
-        self.n = ensemble.n_agents
+        n = ensemble.n_agents
+        mu, eta = cfg.mu, cfg.eta
+        w_tgt = ensemble.targets.blocks
+        self.n = n
         self.m = ensemble.dim
-        self.mu = cfg.mu
-        self.eta = cfg.eta
-        self.lap = g.laplacian
+        self.mu = mu
         self.chol = ensemble._chol
         self.sig_v = np.sqrt(ensemble.noise_var)
-        self.covs = ensemble.regressor_cov
-        self.w_tgt = ensemble.targets.blocks
-        reg = solve_regularized(ensemble, g, cfg.eta)
-        self.w_reg = reg.solution.blocks
-        # Constant forcing term of the long-term recursion.
-        self.lt_drive = (cfg.mu * cfg.eta) ** 2 * (self.lap @ (self.lap @ self.w_reg))
-        if cfg.init is None:
-            self.w_init = np.zeros((self.n, self.m))
-        else:
-            self.w_init = np.asarray(cfg.init, dtype=float).reshape(self.n, self.m)
+        self.mu_cov = mu * ensemble.regressor_cov
+        self.comb = np.eye(n) - (mu * eta) * g.laplacian
+        self.drive = (mu * eta) * (g.laplacian @ w_tgt)
+        reg = solve_regularized(ensemble, g, eta)
+        self.offset = w_tgt - reg.solution.blocks
+        init = 0.0 if cfg.init is None else np.reshape(cfg.init, w_tgt.shape)
+        self.x_init = w_tgt - init
 
 
 def _run_block(
@@ -172,11 +192,9 @@ def _run_block(
     the total run count in fixed block order).
     """
     b = len(runs)
-    n, m, mu, eta = prob.n, prob.m, prob.mu, prob.eta
+    n, m, mu = prob.n, prob.m, prob.mu
     track = cfg.track_long_term or want_trajectory
-
-    w = np.broadcast_to(prob.w_init, (b, n, m)).copy()
-    x = (prob.w_reg[None, :, :] - w).copy() if track else None
+    chunk = min(CHUNK_ITERS, horizon)
 
     gens = [
         np.random.Generator(np.random.Philox(key=(cfg.seed << 64) + r)) for r in runs
@@ -188,59 +206,76 @@ def _run_block(
     lt_window = np.zeros((n, m)) if track else None
     trajectory = np.empty((horizon, n, m)) if want_trajectory else None
 
-    err_reg = np.empty((b, CHUNK_ITERS))
-    err_tgt = np.empty((b, CHUNK_ITERS))
-    z = None if cfg.exact_gradient else np.empty((b, CHUNK_ITERS, n, m + 1))
+    def per_run(a):
+        return np.repeat(a[:, :, None], b, axis=2)
 
-    for t0 in range(0, horizon, CHUNK_ITERS):
-        tc = min(CHUNK_ITERS, horizon - t0)
+    drive, offset = per_run(prob.drive), per_run(prob.offset)
+
+    def combine(y, out):
+        """out = A y + c, as one (N x N) @ (N, M*runs) product."""
+        np.matmul(prob.comb, y.reshape(n, m * b), out=out.reshape(n, m * b))
+        out += drive
+        return out
+
+    x = per_run(prob.x_init)
+    xl = x.copy() if track else None
+    if not cfg.exact_gradient:
+        z = np.empty((b, chunk, n, m + 1))
+        u = np.empty((chunk, n, m, b))
+        v = np.empty((chunk, n, b))
+    states = np.empty((chunk, n, m, b))
+    lt_states = np.empty((chunk, n, m, b)) if track else None
+    dev = np.empty((chunk, n, m, b))
+    step = np.empty((n, m, b))
+
+    for t0 in range(0, horizon, chunk):
+        tc = min(chunk, horizon - t0)
         if not cfg.exact_gradient:
             for i, gen in enumerate(gens):
                 gen.standard_normal(out=z[i, :tc])
-            u = np.einsum("btnj,nij->btni", z[:, :tc, :, :m], prob.chol)
-            v = z[:, :tc, :, m] * prob.sig_v
+            np.matmul(prob.chol, z[:, :tc, :, :m].transpose(1, 2, 3, 0), out=u[:tc])
+            np.multiply(
+                z[:, :tc, :, m].transpose(1, 2, 0), prob.sig_v[:, None], out=v[:tc]
+            )
         for j in range(tc):
+            # step = mu * gradient: u (u.X + v) when sampled, R X when exact
             if cfg.exact_gradient:
-                ghat = np.einsum("nij,bnj->bni", prob.covs, w - prob.w_tgt)
-                s = np.zeros_like(w) if track else None
+                np.matmul(prob.mu_cov, x, out=step)
             else:
-                uj = u[:, j]
-                e = np.einsum("bnm,bnm->bn", uj, prob.w_tgt - w) + v[:, j]
-                ghat = -uj * e[..., None]
-                if track:
-                    s = ghat - np.einsum("nij,bnj->bni", prob.covs, w - prob.w_tgt)
-            psi = w - mu * ghat
-            w = psi - (mu * eta) * np.matmul(prob.lap, psi) if eta else psi
-
-            d_reg = w - prob.w_reg
-            d_tgt = w - prob.w_tgt
-            err_reg[:, j] = np.einsum("bnm,bnm->b", d_reg, d_reg) / n
-            err_tgt[:, j] = np.einsum("bnm,bnm->b", d_tgt, d_tgt) / n
-
+                e = np.einsum("nmb,nmb->nb", u[j], x)
+                e += v[j]
+                e *= mu
+                np.multiply(u[j], e[:, None, :], out=step)
             if track:
-                y = x - mu * np.einsum("nij,bnj->bni", prob.covs, x) + mu * s
-                x = (y - (mu * eta) * np.matmul(prob.lap, y) if eta else y) + prob.lt_drive
-                diff = (prob.w_reg - w) - x
-                sum_gap[t0 + j] = float(np.einsum("bnm,bnm->", diff, diff))
-                if t0 + j >= window_start:
-                    lt_window += x.sum(axis=0)
-            if want_trajectory:
-                trajectory[t0 + j] = x[0]
-            if t0 + j >= window_start:
-                agent_window += np.einsum("bnm,bnm->n", d_reg, d_reg)
+                # the linearized recursion, driven by the same gradient noise
+                y = xl - np.matmul(prob.mu_cov, xl)
+                y += np.matmul(prob.mu_cov, x)
+                y -= step
+                xl = combine(y, lt_states[j])
+            x = combine(np.subtract(x, step, out=step), states[j])
 
-        chunk_reg = err_reg[:, :tc]
-        if not np.all(chunk_reg <= DIVERGENCE_GUARD):
-            bad = ~(chunk_reg <= DIVERGENCE_GUARD)
-            j_idx, b_idx = np.argwhere(bad.T)[0]  # earliest iteration first
+        s = states[:tc]
+        w0 = max(0, window_start - t0)
+        d = np.subtract(s, offset, out=dev[:tc])
+        err_reg = np.einsum("tnmb,tnmb->tb", d, d) / n
+        if not np.all(err_reg <= DIVERGENCE_GUARD):
+            j_idx, b_idx = np.argwhere(~(err_reg <= DIVERGENCE_GUARD))[0]
             raise NumericalDivergence(
                 f"run {runs[b_idx]} exceeded the divergence guard "
                 f"({DIVERGENCE_GUARD:g}) at iteration {t0 + j_idx}",
                 run_index=int(runs[b_idx]),
                 iteration=int(t0 + j_idx),
             )
-        sum_reg[t0 : t0 + tc] += chunk_reg.sum(axis=0)
-        sum_tgt[t0 : t0 + tc] += err_tgt[:, :tc].sum(axis=0)
+        sum_reg[t0 : t0 + tc] += err_reg.sum(axis=1)
+        sum_tgt[t0 : t0 + tc] += np.einsum("tnmb,tnmb->t", s, s) / n
+        agent_window += np.einsum("tnmb,tnmb->n", d[w0:], d[w0:])
+        if track:
+            d = np.subtract(s, lt_states[:tc], out=dev[:tc])
+            sum_gap[t0 : t0 + tc] += np.einsum("tnmb,tnmb->t", d, d)
+            d = np.subtract(lt_states[:tc], offset, out=dev[:tc])
+            lt_window += d[w0:].sum(axis=(0, 3))
+            if want_trajectory:
+                trajectory[t0 : t0 + tc] = d[..., 0]
 
     return sum_reg, sum_tgt, sum_gap, agent_window, lt_window, trajectory
 
@@ -287,9 +322,7 @@ def run_single(
     prob = _Problem(ensemble, g, cfg)
     horizon = cfg.horizon(ensemble)
     window_start = horizon - cfg.window_length(horizon)
-    single_cfg = cfg if cfg.n_runs == 1 else SimConfig(
-        **{**cfg.__dict__, "n_runs": 1}
-    )
+    single_cfg = replace(cfg, n_runs=1)
     part = _run_block(
         prob, single_cfg, range(run_index, run_index + 1), horizon, window_start
     )

@@ -285,6 +285,17 @@ class TestErrorPaths:
         (tmp_path / "ring.edges").write_text(edges)
         assert main(["theory", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("algo.mu", "nan"), ("algo.mu", "inf"), ("algo.eta", "0, nan")],
+        ids=["nan-mu", "inf-mu", "nan-eta"],
+    )
+    def test_non_finite_step_exits_2(self, tmp_path, key, value):
+        cfg = _write_config(tmp_path, {key: value})
+        out = tmp_path / "r"
+        assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_bad_seed_override_exits_2(self, tmp_path):
         cfg = _write_config(tmp_path)
         assert main(

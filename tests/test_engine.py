@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import mtdiff as mt
+from helpers import make_random_spd
 from mtdiff import engine
 
 
@@ -59,6 +60,38 @@ class TestReplayOracle:
         tgt = het_ensemble.targets.blocks
         curve = ((traj - tgt) ** 2).sum(axis=(1, 2)) / 15
         assert np.allclose(res.curve_vs_target, curve, rtol=1e-9, atol=1e-14)
+
+    def test_general_kernel_matches_replay_across_chunks(self, line_graph):
+        """Full SPD covariances, a nonzero start, a horizon that crosses two
+        chunk boundaries and ends partway through a chunk, and a steady
+        window that opens inside a chunk."""
+        rng = np.random.default_rng(5)
+        n, m = 5, 3
+        ens = mt.TaskEnsemble(
+            targets=mt.StackedSignal.from_blocks(rng.standard_normal((n, m))),
+            regressor_cov=np.stack([make_random_spd(rng, m) for _ in range(n)]),
+            noise_var=rng.uniform(0.05, 0.2, size=n),
+        )
+        init = rng.standard_normal((n, m))
+        mu, eta, seed, run = 0.05, 1.5, 13, 3
+        chunk = engine.CHUNK_ITERS
+        t = 2 * chunk + chunk // 2
+        cfg = mt.SimConfig(
+            mu=mu, eta=eta, n_iters=t, seed=seed, init=init, steady_window_frac=0.3
+        )
+        start = t - cfg.window_length(t)
+        assert start % chunk != 0 and start // chunk < t // chunk
+        res = engine.run_single(ens, line_graph, cfg, run_index=run)
+        traj = _replay(ens, line_graph, mu, eta, t, seed, run, init=init)
+        reg = mt.solve_regularized(ens, line_graph, eta).solution.blocks
+        sq_reg = ((traj - reg) ** 2).sum(axis=2)  # (t, n)
+        curve_tgt = ((traj - ens.targets.blocks) ** 2).sum(axis=(1, 2)) / n
+        tol = dict(rtol=1e-9, atol=1e-14)
+        assert np.allclose(res.curve_vs_reg, sq_reg.sum(axis=1) / n, **tol)
+        assert np.allclose(res.curve_vs_target, curve_tgt, **tol)
+        assert np.allclose(
+            res.steady_msd_per_agent_vs_reg, sq_reg[start:].mean(axis=0), **tol
+        )
 
     def test_information_propagates_one_hop_per_iteration(self, line_graph):
         """A non-neighbor's state cannot influence a node before the graph
@@ -224,6 +257,10 @@ class TestConfigAndStability:
             dict(mu=0.0, eta=0.0),
             dict(mu=-1e-3, eta=0.0),
             dict(mu=1e-3, eta=-0.5),
+            dict(mu=math.nan, eta=0.0),
+            dict(mu=math.inf, eta=0.0),
+            dict(mu=1e-3, eta=math.nan),
+            dict(mu=1e-3, eta=math.inf),
             dict(mu=1e-3, eta=0.0, n_iters=-1),
             dict(mu=1e-3, eta=0.0, n_runs=0),
             dict(mu=1e-3, eta=0.0, steady_window_frac=0.0),
