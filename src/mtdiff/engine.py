@@ -19,9 +19,10 @@ computed once per simulation.  With exact gradients the adapt step is
 X - mu R X instead, and the long-term recursion runs in the same coordinates.
 Each chunk of CHUNK_ITERS iterations draws its normals, maps them to
 regressors with one batched Cholesky product, and keeps its states so the
-error curves and window sums are reduced once per chunk.  A block's buffers
-hold a few arrays of BLOCK_RUNS * CHUNK_ITERS * N * (M+1) floats (about
-3 MB each at N=15, M=5), whatever the horizon.
+error curves and window sums are reduced once per chunk.  A block's chunk
+buffers are a few arrays of at most BLOCK_RUNS * CHUNK_ITERS * N * (M+1)
+floats (about 3 MB each at N=15, M=5) whatever the horizon; only the
+per-iteration curves grow with it.
 
 Reproducibility contract
 ------------------------
