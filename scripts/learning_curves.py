@@ -34,9 +34,7 @@ def main() -> None:
 
     series: list[Series] = []
     for eta in args.etas:
-        cfg = mt.SimConfig.for_problem(
-            ens, g, mu=args.mu, eta=eta, n_runs=args.runs, seed=args.seed
-        )
+        cfg = mt.SimConfig(mu=args.mu, eta=eta, n_runs=args.runs, seed=args.seed)
         res = mt.monte_carlo(ens, g, cfg, jobs=args.jobs)
         th = mt.msd_theory(ens, g, args.mu, eta).msd_total
         t = res.curve_vs_reg.size

@@ -10,12 +10,10 @@ minimizes the error against the true per-node targets.
 """
 
 from .engine import (
-    LongTermResult,
     SimConfig,
     SimResult,
     default_horizon,
     monte_carlo,
-    run_long_term,
     run_single,
 )
 from .errors import (
@@ -55,12 +53,9 @@ from .regularized import (
     spectral_filter_solution,
 )
 from .tasks import (
-    DataSample,
     TaskEnsemble,
     make_smooth_target,
-    sample,
     scalar_profile,
-    stochastic_gradient,
     uniform_profile,
     varying_profile,
 )
@@ -92,13 +87,11 @@ MODULE_VERSIONS = {
 __all__ = [
     "BiasReport",
     "ConfigError",
-    "DataSample",
     "DimensionMismatch",
     "Disconnected",
     "EtaSweep",
     "Graph",
     "GraphError",
-    "LongTermResult",
     "MODULE_VERSIONS",
     "MtdiffError",
     "NegativeWeight",
@@ -136,14 +129,11 @@ __all__ = [
     "pareto_solution",
     "random_geometric_graph",
     "require_stable",
-    "run_long_term",
     "run_single",
-    "sample",
     "scalar_profile",
     "smoothness",
     "solve_regularized",
     "spectral_filter_solution",
-    "stochastic_gradient",
     "theory_report",
     "uniform_profile",
     "varying_profile",

@@ -162,7 +162,6 @@ def cmd_simulate(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
         n_runs=cfg.algo.n_runs,
         seed=cfg.algo.seed,
         steady_window_frac=cfg.algo.steady_window_frac,
-        track_long_term=cfg.algo.track_long_term,
     )
     report = theory_report(ens, g, mu, eta)
     res = monte_carlo(ens, g, sim, jobs=cfg.algo.jobs)
@@ -171,13 +170,9 @@ def cmd_simulate(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
     meta = _metadata(cfg, "simulate")
     t = res.curve_vs_reg.size
     if "csv" in cfg.output.formats:
-        header = ["iter", "msd_vs_reg", "msd_vs_target"]
-        columns = [res.curve_vs_reg, res.curve_vs_target]
-        if res.long_term_gap is not None:
-            header.append("long_term_gap")
-            columns.append(res.long_term_gap)
-        rows = [[i, *(float(c[i]) for c in columns)] for i in range(t)]
-        _write_csv(out / "curves.csv", meta, header, rows)
+        curves = zip(res.curve_vs_reg, res.curve_vs_target)
+        rows = [[i, float(r), float(tg)] for i, (r, tg) in enumerate(curves)]
+        _write_csv(out / "curves.csv", meta, ["iter", "msd_vs_reg", "msd_vs_target"], rows)
     if "svg" in cfg.output.formats:
         iters = np.arange(t)
         series = [

@@ -117,7 +117,6 @@ class AlgoSection:
     n_runs: int = 1
     seed: int = 0
     steady_window_frac: float = 0.1
-    track_long_term: bool = False
     jobs: int = 1
 
 

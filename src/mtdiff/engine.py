@@ -2,10 +2,9 @@
 
 Each iteration every node takes a stochastic-gradient step on its own data
 (adapt) and then moves toward its neighbors' intermediate estimates, weighted
-by the graph and the regularization strength (combine).  The engine also
-advances the linearized long-term error recursion in lockstep with the same
-noise so the two can be compared pathwise.  Every entry point refuses an
-inadmissible (mu, eta) through the stability checks of the regularized module.
+by the graph and the regularization strength (combine).  Every entry point
+refuses an inadmissible (mu, eta) through the stability checks of the
+regularized module.
 
 State layout
 ------------
@@ -15,14 +14,12 @@ node-major with the runs last, shape (N, M, runs).  One iteration is
     X <- A (X - mu u (u.X + v)) + c,    A = I - mu*eta*L,  c = mu*eta*L W_tgt,
 
 so the combine step is a single (N x N) @ (N, M*runs) product with A and c
-computed once per simulation.  With exact gradients the adapt step is
-X - mu R X instead, and the long-term recursion runs in the same coordinates.
-Each chunk of CHUNK_ITERS iterations draws its normals, maps them to
-regressors with one batched Cholesky product, and keeps its states so the
-error curves and window sums are reduced once per chunk.  A block's chunk
-buffers are a few arrays of at most BLOCK_RUNS * CHUNK_ITERS * N * (M+1)
-floats (about 3 MB each at N=15, M=5) whatever the horizon; only the
-per-iteration curves grow with it.
+computed once per simulation.  Each chunk of CHUNK_ITERS iterations draws its
+normals, maps them to regressors with one batched Cholesky product, and keeps
+its states so the error curves and window sums are reduced once per chunk.
+A block's chunk buffers are a few arrays of at most
+BLOCK_RUNS * CHUNK_ITERS * N * (M+1) floats (about 3 MB each at N=15, M=5)
+whatever the horizon; only the per-iteration curves grow with it.
 
 Reproducibility contract
 ------------------------
@@ -32,8 +29,9 @@ Every Monte Carlo run r draws from its own counter-based stream,
 normals then one observation-noise normal.  Runs are simulated in fixed
 blocks of ``BLOCK_RUNS`` and block partial sums are combined in block order,
 so results are bitwise identical for any ``jobs`` setting and any thread
-schedule.  ``sample()`` in the tasks module consumes the same layout, so a
-scalar replay of a run's stream reproduces the engine's data exactly.
+schedule.  The test suite's scalar replay oracle (``sample()`` in
+``tests/helpers.py``) consumes the same layout, so a replay of a run's stream
+reproduces the engine's data exactly.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NumericalDivergence
+from .errors import DimensionMismatch, NumericalDivergence
 from .graphs import Graph
 from .regularized import require_stable, solve_regularized
 from .tasks import TaskEnsemble
@@ -74,10 +72,8 @@ def default_horizon(ensemble: TaskEnsemble, mu: float) -> int:
 class SimConfig:
     """Simulation parameters.
 
-    n_iters = 0 selects the default horizon.  exact_gradient replaces the
-    sampled gradients with the true ones (a noiseless debugging mode; no
-    random numbers are consumed).  init is the common initial estimate for
-    every node (defaults to zero).
+    n_iters = 0 selects the default horizon.  init is the initial estimate,
+    N*M values in node order (defaults to zero).
     """
 
     mu: float
@@ -87,8 +83,6 @@ class SimConfig:
     seed: int = 0
     init: np.ndarray | None = None
     steady_window_frac: float = 0.1
-    track_long_term: bool = False
-    exact_gradient: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.mu) and self.mu > 0.0):
@@ -101,16 +95,8 @@ class SimConfig:
             raise ValueError("steady_window_frac must lie in (0, 1]")
         if self.seed < 0 or self.seed > 0xFFFFFFFFFFFFFFFF:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
-
-    @classmethod
-    def for_problem(
-        cls, ensemble: TaskEnsemble, g: Graph, **kwargs
-    ) -> "SimConfig":
-        """Construct and verify stability against a concrete problem, so an
-        inadmissible (mu, eta) fails at configuration time."""
-        cfg = cls(**kwargs)
-        require_stable(ensemble, g, cfg.mu, cfg.eta)
-        return cfg
+        if self.init is not None and not np.all(np.isfinite(self.init)):
+            raise ValueError("init must be finite")
 
     def horizon(self, ensemble: TaskEnsemble) -> int:
         return self.n_iters if self.n_iters > 0 else default_horizon(ensemble, self.mu)
@@ -126,10 +112,7 @@ class SimResult:
     curve_vs_reg[i] is the run-average of ||W0_eta - W_i||^2 / N and
     curve_vs_target the same against the unregularized targets; the steady
     values average the final window.  steady_msd_per_agent_vs_reg[k] is node
-    k's window-averaged squared error against its regularized block (no 1/N),
-    long_term_gap the run-averaged pathwise gap ||Werr_i - Werr'_i||^2 when
-    the long-term recursion is tracked, and long_term_mean its window-averaged
-    state (an estimate of the steady-state mean offset).
+    k's window-averaged squared error against its regularized block (no 1/N).
     """
 
     curve_vs_reg: np.ndarray
@@ -138,17 +121,6 @@ class SimResult:
     steady_msd_vs_target: float
     steady_msd_per_agent_vs_reg: np.ndarray
     runs_completed: int
-    long_term_gap: np.ndarray | None = None
-    long_term_mean: np.ndarray | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class LongTermResult:
-    """Pathwise output of the linearized long-term recursion for one run."""
-
-    trajectory: np.ndarray  # (T, N, M) states Werr'_i
-    gap: np.ndarray  # (T,) ||Werr_i - Werr'_i||^2 against the paired run
-    steady_mean: np.ndarray  # (N, M) window average of the trajectory
 
 
 class _Problem:
@@ -164,12 +136,15 @@ class _Problem:
         n = ensemble.n_agents
         mu, eta = cfg.mu, cfg.eta
         w_tgt = ensemble.targets.blocks
+        if cfg.init is not None and np.size(cfg.init) != w_tgt.size:
+            raise DimensionMismatch(
+                f"init must have {w_tgt.size} entries, got {np.size(cfg.init)}"
+            )
         self.n = n
         self.m = ensemble.dim
         self.mu = mu
         self.chol = ensemble._chol
         self.sig_v = np.sqrt(ensemble.noise_var)
-        self.mu_cov = mu * ensemble.regressor_cov
         self.comb = np.eye(n) - (mu * eta) * g.laplacian
         self.drive = (mu * eta) * (g.laplacian @ w_tgt)
         reg = solve_regularized(ensemble, g, eta)
@@ -179,13 +154,7 @@ class _Problem:
 
 
 def _run_block(
-    prob: _Problem,
-    cfg: SimConfig,
-    runs: range,
-    horizon: int,
-    window_start: int,
-    *,
-    want_trajectory: bool = False,
+    prob: _Problem, cfg: SimConfig, runs: range, horizon: int, window_start: int
 ):
     """Simulate a contiguous block of runs, returning per-iteration sums.
 
@@ -194,7 +163,6 @@ def _run_block(
     """
     b = len(runs)
     n, m, mu = prob.n, prob.m, prob.mu
-    track = cfg.track_long_term or want_trajectory
     chunk = min(CHUNK_ITERS, horizon)
 
     gens = [
@@ -202,58 +170,36 @@ def _run_block(
     ]
     sum_reg = np.zeros(horizon)
     sum_tgt = np.zeros(horizon)
-    sum_gap = np.zeros(horizon) if track else None
     agent_window = np.zeros(n)
-    lt_window = np.zeros((n, m)) if track else None
-    trajectory = np.empty((horizon, n, m)) if want_trajectory else None
 
     def per_run(a):
         return np.repeat(a[:, :, None], b, axis=2)
 
     drive, offset = per_run(prob.drive), per_run(prob.offset)
-
-    def combine(y, out):
-        """out = A y + c, as one (N x N) @ (N, M*runs) product."""
-        np.matmul(prob.comb, y.reshape(n, m * b), out=out.reshape(n, m * b))
-        out += drive
-        return out
-
     x = per_run(prob.x_init)
-    xl = x.copy() if track else None
-    if not cfg.exact_gradient:
-        z = np.empty((b, chunk, n, m + 1))
-        u = np.empty((chunk, n, m, b))
-        v = np.empty((chunk, n, b))
+    z = np.empty((b, chunk, n, m + 1))
+    u = np.empty((chunk, n, m, b))
+    v = np.empty((chunk, n, b))
     states = np.empty((chunk, n, m, b))
-    lt_states = np.empty((chunk, n, m, b)) if track else None
     dev = np.empty((chunk, n, m, b))
     step = np.empty((n, m, b))
 
     for t0 in range(0, horizon, chunk):
         tc = min(chunk, horizon - t0)
-        if not cfg.exact_gradient:
-            for i, gen in enumerate(gens):
-                gen.standard_normal(out=z[i, :tc])
-            np.matmul(prob.chol, z[:, :tc, :, :m].transpose(1, 2, 3, 0), out=u[:tc])
-            np.multiply(
-                z[:, :tc, :, m].transpose(1, 2, 0), prob.sig_v[:, None], out=v[:tc]
-            )
+        for i, gen in enumerate(gens):
+            gen.standard_normal(out=z[i, :tc])
+        np.matmul(prob.chol, z[:, :tc, :, :m].transpose(1, 2, 3, 0), out=u[:tc])
+        np.multiply(z[:, :tc, :, m].transpose(1, 2, 0), prob.sig_v[:, None], out=v[:tc])
         for j in range(tc):
-            # step = mu * gradient: u (u.X + v) when sampled, R X when exact
-            if cfg.exact_gradient:
-                np.matmul(prob.mu_cov, x, out=step)
-            else:
-                e = np.einsum("nmb,nmb->nb", u[j], x)
-                e += v[j]
-                e *= mu
-                np.multiply(u[j], e[:, None, :], out=step)
-            if track:
-                # the linearized recursion, driven by the same gradient noise
-                y = xl - np.matmul(prob.mu_cov, xl)
-                y += np.matmul(prob.mu_cov, x)
-                y -= step
-                xl = combine(y, lt_states[j])
-            x = combine(np.subtract(x, step, out=step), states[j])
+            # step = mu * gradient = mu u (u.X + v); then X <- A (X - step) + c
+            e = np.einsum("nmb,nmb->nb", u[j], x)
+            e += v[j]
+            e *= mu
+            np.multiply(u[j], e[:, None, :], out=step)
+            np.subtract(x, step, out=step)
+            x = states[j]
+            np.matmul(prob.comb, step.reshape(n, m * b), out=x.reshape(n, m * b))
+            x += drive
 
         s = states[:tc]
         w0 = max(0, window_start - t0)
@@ -270,37 +216,24 @@ def _run_block(
         sum_reg[t0 : t0 + tc] += err_reg.sum(axis=1)
         sum_tgt[t0 : t0 + tc] += np.einsum("tnmb,tnmb->t", s, s) / n
         agent_window += np.einsum("tnmb,tnmb->n", d[w0:], d[w0:])
-        if track:
-            d = np.subtract(s, lt_states[:tc], out=dev[:tc])
-            sum_gap[t0 : t0 + tc] += np.einsum("tnmb,tnmb->t", d, d)
-            d = np.subtract(lt_states[:tc], offset, out=dev[:tc])
-            lt_window += d[w0:].sum(axis=(0, 3))
-            if want_trajectory:
-                trajectory[t0 : t0 + tc] = d[..., 0]
 
-    return sum_reg, sum_tgt, sum_gap, agent_window, lt_window, trajectory
+    return sum_reg, sum_tgt, agent_window
 
 
 def _combine_blocks(
-    prob: _Problem, cfg: SimConfig, horizon: int, window_start: int, partials
+    cfg: SimConfig, horizon: int, window_start: int, partials
 ) -> SimResult:
     n_runs = cfg.n_runs
-    window_len = horizon - window_start
+    denom = n_runs * (horizon - window_start)
     sum_reg = np.zeros(horizon)
     sum_tgt = np.zeros(horizon)
-    sum_gap = np.zeros(horizon) if cfg.track_long_term else None
-    agent_window = np.zeros(prob.n)
-    lt_window = np.zeros((prob.n, prob.m)) if cfg.track_long_term else None
+    agent_window = np.zeros_like(partials[0][2])
     for part in partials:  # fixed block order
         sum_reg += part[0]
         sum_tgt += part[1]
-        if cfg.track_long_term:
-            sum_gap += part[2]
-            lt_window += part[4]
-        agent_window += part[3]
+        agent_window += part[2]
     curve_reg = sum_reg / n_runs
     curve_tgt = sum_tgt / n_runs
-    denom = n_runs * window_len
     return SimResult(
         curve_vs_reg=curve_reg,
         curve_vs_target=curve_tgt,
@@ -308,8 +241,6 @@ def _combine_blocks(
         steady_msd_vs_target=float(curve_tgt[window_start:].mean()),
         steady_msd_per_agent_vs_reg=agent_window / denom,
         runs_completed=n_runs,
-        long_term_gap=(sum_gap / n_runs) if cfg.track_long_term else None,
-        long_term_mean=(lt_window / denom) if cfg.track_long_term else None,
     )
 
 
@@ -327,38 +258,7 @@ def run_single(
     part = _run_block(
         prob, single_cfg, range(run_index, run_index + 1), horizon, window_start
     )
-    return _combine_blocks(prob, single_cfg, horizon, window_start, [part])
-
-
-def run_long_term(
-    ensemble: TaskEnsemble, g: Graph, cfg: SimConfig, run_index: int = 0
-) -> LongTermResult:
-    """Advance the linearized long-term recursion for one run.
-
-    The recursion is driven by the gradient noise of the *paired* adaptive
-    run, which is reproduced here by replaying the identical per-run stream
-    (nothing is cached between the two paths; memory stays O(1) in the
-    horizon).  Werr'_0 starts at the true initial error, so for the built-in
-    quadratic costs the pathwise gap is pure floating-point noise.
-    """
-    require_stable(ensemble, g, cfg.mu, cfg.eta)
-    prob = _Problem(ensemble, g, cfg)
-    horizon = cfg.horizon(ensemble)
-    window_start = horizon - cfg.window_length(horizon)
-    part = _run_block(
-        prob,
-        cfg,
-        range(run_index, run_index + 1),
-        horizon,
-        window_start,
-        want_trajectory=True,
-    )
-    _, _, sum_gap, _, _, trajectory = part
-    return LongTermResult(
-        trajectory=trajectory,
-        gap=sum_gap,
-        steady_mean=trajectory[window_start:].mean(axis=0),
-    )
+    return _combine_blocks(single_cfg, horizon, window_start, [part])
 
 
 def monte_carlo(
@@ -389,4 +289,4 @@ def monte_carlo(
                 for blk in blocks
             ]
             partials = [f.result() for f in futures]
-    return _combine_blocks(prob, cfg, horizon, window_start, partials)
+    return _combine_blocks(cfg, horizon, window_start, partials)

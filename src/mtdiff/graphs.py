@@ -93,17 +93,9 @@ class Graph:
         return float(self.eigenvalues[-1])
 
     @property
-    def algebraic_connectivity(self) -> float:
-        return float(self.eigenvalues[1]) if self.n_agents > 1 else 0.0
-
-    @property
     def max_degree(self) -> float:
         """Largest weighted degree max_k sum_l a_kl."""
         return float(self.degrees.max())
-
-    def neighbors(self, k: int) -> np.ndarray:
-        """Indices l with a_kl > 0."""
-        return np.nonzero(self.adjacency[k] > 0.0)[0]
 
 
 def _fix_eigenvector_signs(vecs: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Per-node least-mean-squares learning tasks and streaming data generation.
+"""Per-node least-mean-squares learning tasks and target synthesis.
 
 Each node k estimates its own target vector w0_k from scalar observations
 d = u . w0_k + v, where the row regressor u is zero-mean Gaussian with
@@ -88,15 +88,6 @@ class TaskEnsemble:
         return self.regressor_cov[agent] @ (np.asarray(w, float) - self.targets.block(agent))
 
 
-@dataclass(frozen=True)
-class DataSample:
-    """One streaming observation for one node."""
-
-    agent: int
-    regressor: np.ndarray
-    observation: float
-
-
 def make_smooth_target(g: Graph, tau: np.ndarray, dim: int) -> StackedSignal:
     """Synthesize targets whose graph-frequency content decays like exp(-tau_j * lambda_m).
 
@@ -161,35 +152,3 @@ def varying_profile(
     su = rng.uniform(*sigma_u_sq_range, size=n)
     sv = rng.uniform(*sigma_v_sq_range, size=n)
     return scalar_profile(targets, su, sv)
-
-
-def sample(ensemble: TaskEnsemble, agent: int, rng: np.random.Generator) -> DataSample:
-    """Draw one observation for a node: u ~ N(0, R_uk), d = u.w0_k + v.
-
-    Consumes exactly M+1 standard normals from `rng` (M for the regressor,
-    then one for the noise), matching the stream layout the simulation engine
-    uses, so a scalar replay of an engine stream sees identical data.
-    """
-    m = ensemble.dim
-    z = rng.standard_normal(m + 1)
-    u = ensemble._chol[agent] @ z[:m]
-    v = np.sqrt(ensemble.noise_var[agent]) * z[m]
-    d = float(u @ ensemble.targets.block(agent) + v)
-    return DataSample(agent=agent, regressor=u, observation=d)
-
-
-def stochastic_gradient(
-    ensemble: TaskEnsemble, agent: int, w: np.ndarray, s: DataSample
-) -> np.ndarray:
-    """Instantaneous gradient estimate -u'(d - u.w) for the quadratic cost.
-
-    Averaged over draws it equals the true gradient R_uk (w - w0_k); the
-    difference is the zero-mean gradient noise whose covariance the theory
-    module predicts in closed form.
-    """
-    if s.agent != agent:
-        raise MtdiffError(f"sample belongs to node {s.agent}, not {agent}")
-    w = np.asarray(w, dtype=float)
-    if w.shape != (ensemble.dim,):
-        raise DimensionMismatch(f"w must have shape ({ensemble.dim},), got {w.shape}")
-    return -s.regressor * (s.observation - float(s.regressor @ w))

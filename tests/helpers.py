@@ -3,12 +3,16 @@
 Everything in this file is deliberately written *without* calling the package
 code it is used to check.  The eigenvalue oracle goes through the
 characteristic polynomial, the regularized-solution oracle through plain batch
-gradient descent, the noise-covariance oracle through brute-force sampling.
+gradient descent, the noise-covariance oracle through brute-force sampling,
+the steady-state bias oracle through the noise-free recursion itself, and the
+replay oracle's sampler through its own Cholesky factors.
 Keep it that way: the moment an oracle shares a code path with the production
 routine, the corresponding test stops being evidence.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,6 +123,57 @@ def batch_gd_minimize(
         if np.linalg.norm(grad) <= threshold:
             break
     return w
+
+
+def noise_free_recursion(
+    covs: np.ndarray,
+    targets: np.ndarray,
+    laplacian: np.ndarray,
+    mu: float,
+    eta: float,
+    n_iters: int = 3000,
+) -> np.ndarray:
+    """Run the adapt-then-combine recursion with exact gradients.
+
+    psi_k = w_k - mu R_k (w_k - w0_k), then w = psi - mu eta L psi, from
+    w = 0.  With no gradient noise the iterate settles at the deterministic
+    fixed point whose offset from the regularized solution is the long-term
+    bias.  Returns the final (N, M) iterate.
+    """
+    w = np.zeros_like(targets)
+    for _ in range(n_iters):
+        psi = w - mu * np.einsum("kij,kj->ki", covs, w - targets)
+        w = psi - mu * eta * (laplacian @ psi)
+    return w
+
+
+@dataclass(frozen=True)
+class DataSample:
+    """One streaming observation for one node."""
+
+    agent: int
+    regressor: np.ndarray
+    observation: float
+
+
+def sample(ensemble, agent: int, rng: np.random.Generator) -> DataSample:
+    """Draw one observation for a node: u ~ N(0, R_uk), d = u.w0_k + v.
+
+    Consumes exactly M+1 standard normals from `rng` (M for the regressor,
+    then one for the noise), the stream layout the simulation engine
+    documents, so a scalar replay of an engine stream sees identical data.
+    """
+    m = ensemble.dim
+    z = rng.standard_normal(m + 1)
+    u = np.linalg.cholesky(ensemble.regressor_cov[agent]) @ z[:m]
+    v = np.sqrt(ensemble.noise_var[agent]) * z[m]
+    d = float(u @ ensemble.targets.block(agent) + v)
+    return DataSample(agent=agent, regressor=u, observation=d)
+
+
+def stochastic_gradient(w: np.ndarray, s: DataSample) -> np.ndarray:
+    """Instantaneous gradient estimate -u'(d - u.w) for the quadratic cost."""
+    return -s.regressor * (s.observation - float(s.regressor @ w))
 
 
 def empirical_noise_covariance(

@@ -54,9 +54,7 @@ def mu3_sims(het_ensemble, bench_graph):
     t0 = time.perf_counter()
     sims = {}
     for eta in SIM_ETAS:
-        cfg = mt.SimConfig.for_problem(
-            het_ensemble, bench_graph, mu=1e-3, eta=eta, n_runs=200, seed=2024
-        )
+        cfg = mt.SimConfig(mu=1e-3, eta=eta, n_runs=200, seed=2024)
         sims[eta] = mt.monte_carlo(het_ensemble, bench_graph, cfg, jobs=JOBS)
     return sims, time.perf_counter() - t0
 
@@ -107,9 +105,7 @@ def test_criterion_2_bias_scaling_slopes(het_ensemble, bench_graph):
 def test_criterion_3_msd_proportional_to_mu(het_ensemble, bench_graph, mu3_sims):
     sims, _ = mu3_sims
     t0 = time.perf_counter()
-    cfg = mt.SimConfig.for_problem(
-        het_ensemble, bench_graph, mu=1e-4, eta=5.0, n_runs=64, seed=2024
-    )
+    cfg = mt.SimConfig(mu=1e-4, eta=5.0, n_runs=64, seed=2024)
     low = mt.monte_carlo(het_ensemble, bench_graph, cfg, jobs=JOBS)
     ratio = sims[5.0].steady_msd_vs_reg / low.steady_msd_vs_reg
     ok = 8.0 <= ratio <= 12.0
@@ -134,9 +130,7 @@ def test_criterion_4_multitask_benefit(smooth_targets, bench_graph):
     t1 = time.perf_counter()
     checks = {}
     for eta in (0.0, sweep.eta_star, float(grid[-1])):
-        cfg = mt.SimConfig.for_problem(
-            ens, bench_graph, mu=mu, eta=eta, n_runs=200, seed=2024
-        )
+        cfg = mt.SimConfig(mu=mu, eta=eta, n_runs=200, seed=2024)
         res = mt.monte_carlo(ens, bench_graph, cfg, jobs=JOBS)
         theory = mt.msd_bar(ens, bench_graph, mu, eta)
         checks[eta] = (res.steady_msd_vs_target, theory)

@@ -116,24 +116,24 @@ class TestTheoryCommand:
 
 
 class TestSimulateCommand:
-    def test_curves_and_gap_column(self, tmp_path):
+    def test_track_long_term_key_exits_2(self, tmp_path):
+        """The long-term tracking mode is gone; its key is now unknown."""
         cfg = _write_config(
             tmp_path, {"algo.eta": "1", "algo.track_long_term": "true"}
         )
         out = tmp_path / "res"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        _, header, rows = _read_csv(out / "curves.csv")
-        assert header == ["iter", "msd_vs_reg", "msd_vs_target", "long_term_gap"]
-        assert len(rows) == 300
-        assert rows[0][0] == "0" and rows[-1][0] == "299"
-        assert (out / "learning_curve.svg").exists()
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_no_gap_column_by_default(self, tmp_path):
         cfg = _write_config(tmp_path, {"algo.eta": "1"})
         out = tmp_path / "res"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
-        _, header, _ = _read_csv(out / "curves.csv")
+        _, header, rows = _read_csv(out / "curves.csv")
         assert header == ["iter", "msd_vs_reg", "msd_vs_target"]
+        assert len(rows) == 300
+        assert rows[0][0] == "0" and rows[-1][0] == "299"
+        assert (out / "learning_curve.svg").exists()
 
     def test_unstable_pair_exits_3(self, tmp_path):
         cfg = _write_config(tmp_path, {"algo.mu": "0.1", "algo.eta": "30"})

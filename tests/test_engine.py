@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mtdiff as mt
-from helpers import make_random_spd
+from helpers import make_random_spd, sample, stochastic_gradient
 from mtdiff import engine
 
 
@@ -22,7 +22,7 @@ def _uniform_ensemble(n: int, m: int, *, sigma_v_sq: float = 0.1) -> mt.TaskEnse
 
 
 def _replay(ensemble, g, mu, eta, n_iters, seed, run_index, *, init=None):
-    """Scalar re-simulation using only the public sampling API.
+    """Scalar re-simulation using the oracle sampler of tests/helpers.py.
 
     Returns the (n_iters, N, M) trajectory of estimates, consuming the same
     Philox stream the engine documents for run `run_index`.
@@ -34,8 +34,7 @@ def _replay(ensemble, g, mu, eta, n_iters, seed, run_index, *, init=None):
     for t in range(n_iters):
         ghat = np.empty((n, m))
         for k in range(n):
-            s = mt.sample(ensemble, k, rng)
-            ghat[k] = mt.stochastic_gradient(ensemble, k, w[k], s)
+            ghat[k] = stochastic_gradient(w[k], sample(ensemble, k, rng))
         psi = w - mu * ghat
         w = psi - mu * eta * (g.laplacian @ psi)
         out[t] = w
@@ -153,12 +152,6 @@ class TestReproducibility:
         )
         assert not np.array_equal(r0.curve_vs_reg, r1.curve_vs_reg)
 
-    def test_exact_gradient_is_seed_independent(self, het_ensemble, bench_graph):
-        base = dict(mu=1e-2, eta=2.0, n_iters=60, exact_gradient=True)
-        r0 = engine.run_single(het_ensemble, bench_graph, mt.SimConfig(seed=1, **base))
-        r1 = engine.run_single(het_ensemble, bench_graph, mt.SimConfig(seed=9, **base))
-        assert np.array_equal(r0.curve_vs_reg, r1.curve_vs_reg)
-
 
 class TestResultContract:
     def test_steady_values_average_final_window(self, het_ensemble, bench_graph):
@@ -177,7 +170,6 @@ class TestResultContract:
             res.steady_msd_vs_reg, rel=1e-12
         )
         assert res.runs_completed == 1
-        assert res.long_term_gap is None and res.long_term_mean is None
 
     def test_eta_zero_decouples_from_graph(self, line_graph):
         """With no coupling the path graph and an edgeless update coincide:
@@ -196,41 +188,6 @@ class TestResultContract:
             engine.run_single(uni_ensemble, bench_graph, cfg)
         assert exc.value.run_index == 0
         assert 0 <= exc.value.iteration < 500
-
-
-class TestLongTermTracking:
-    def test_deterministic_fixed_point_is_the_bias(self, het_ensemble, bench_graph):
-        """With exact gradients both the adaptive iterate and the linearized
-        recursion converge, and the common limit is the steady-state offset
-        predicted by long_term_bias."""
-        mu, eta = 0.05, 2.0
-        cfg = mt.SimConfig(
-            mu=mu, eta=eta, n_iters=3000, exact_gradient=True, track_long_term=True
-        )
-        res = engine.run_single(het_ensemble, bench_graph, cfg)
-        rep = mt.long_term_bias(het_ensemble, bench_graph, mu, eta)
-        want = rep.bias_vector.reshape(15, 5)
-        assert np.max(np.abs(res.long_term_mean - want)) < 1e-12
-        assert res.steady_msd_vs_reg == pytest.approx(
-            rep.bias_sq_norm / 15, rel=1e-8
-        )
-
-    def test_pathwise_gap_is_float_noise(self, het_ensemble, bench_graph):
-        cfg = mt.SimConfig(
-            mu=0.05, eta=2.0, n_iters=400, seed=17, track_long_term=True
-        )
-        res = engine.run_single(het_ensemble, bench_graph, cfg)
-        assert res.long_term_gap is not None
-        assert res.long_term_gap.shape == (400,)
-        assert float(res.long_term_gap.max()) < 1e-24
-
-    def test_long_term_result_shapes(self, het_ensemble, bench_graph):
-        cfg = mt.SimConfig(mu=0.05, eta=2.0, n_iters=200, seed=17)
-        lt = engine.run_long_term(het_ensemble, bench_graph, cfg, run_index=0)
-        assert lt.trajectory.shape == (200, 15, 5)
-        assert lt.gap.shape == (200,)
-        assert lt.steady_mean.shape == (15, 5)
-        assert np.array_equal(lt.steady_mean, lt.trajectory[180:].mean(axis=0))
 
 
 class TestConfigAndStability:
@@ -267,21 +224,27 @@ class TestConfigAndStability:
             dict(mu=1e-3, eta=0.0, steady_window_frac=1.5),
             dict(mu=1e-3, eta=0.0, seed=-1),
             dict(mu=1e-3, eta=0.0, seed=2**64),
+            dict(mu=1e-3, eta=0.0, init=np.full(75, np.nan)),
+            dict(mu=1e-3, eta=0.0, init=np.array([0.0, np.inf])),
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ValueError):
             mt.SimConfig(**kwargs)
 
-    def test_for_problem_rejects_unstable(self, het_ensemble, bench_graph):
-        with pytest.raises(mt.UnstableConfiguration):
-            mt.SimConfig.for_problem(
-                het_ensemble, bench_graph, mu=1.0, eta=10.0, n_iters=10
-            )
-        ok = mt.SimConfig.for_problem(
-            het_ensemble, bench_graph, mu=1e-3, eta=5.0, n_iters=10
+    def test_init_size_checked(self, het_ensemble, bench_graph):
+        base = dict(mu=1e-3, eta=5.0, n_iters=10, seed=2)
+        bad = mt.SimConfig(init=np.zeros(3), **base)
+        with pytest.raises(mt.DimensionMismatch):
+            engine.run_single(het_ensemble, bench_graph, bad)
+        with pytest.raises(mt.DimensionMismatch):
+            engine.monte_carlo(het_ensemble, bench_graph, bad)
+        # a flat vector of N*M values is accepted too
+        flat = engine.run_single(
+            het_ensemble, bench_graph, mt.SimConfig(init=np.zeros(75), **base)
         )
-        assert ok.mu == 1e-3
+        default = engine.run_single(het_ensemble, bench_graph, mt.SimConfig(**base))
+        assert np.array_equal(flat.curve_vs_reg, default.curve_vs_reg)
 
     def test_condition_names_and_edge_semantics(self, bench_graph):
         ens = _uniform_ensemble(15, 2)

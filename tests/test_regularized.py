@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 
 import mtdiff as mt
 
-from helpers import batch_gd_minimize, make_random_spd, random_connected_adjacency
+from helpers import (
+    batch_gd_minimize,
+    make_random_spd,
+    noise_free_recursion,
+    random_connected_adjacency,
+)
 
 
 def _random_problem(seed: int, *, n_max: int = 6, m_max: int = 3):
@@ -151,6 +156,23 @@ class TestLongTermBias:
         lhs = (eye - b) @ rep.bias_vector
         rhs = (mu * eta) ** 2 * lap @ lap @ reg.solution.values
         assert np.max(np.abs(lhs - rhs)) < 1e-14 * max(1.0, np.abs(rhs).max() / 1e-10)
+
+    def test_noise_free_recursion_limit_is_the_bias(self, het_ensemble, bench_graph):
+        """The noise-free adapt-then-combine iterate settles at W0_eta minus
+        the bias that long_term_bias predicts."""
+        mu, eta = 0.05, 2.0
+        rep = mt.long_term_bias(het_ensemble, bench_graph, mu, eta)
+        w_reg = mt.solve_regularized(het_ensemble, bench_graph, eta).solution.blocks
+        w_inf = noise_free_recursion(
+            het_ensemble.regressor_cov,
+            het_ensemble.targets.blocks,
+            bench_graph.laplacian,
+            mu,
+            eta,
+        )
+        offset = (w_reg - w_inf).reshape(-1)
+        assert np.max(np.abs(offset - rep.bias_vector)) < 1e-12
+        assert float(offset @ offset) == pytest.approx(rep.bias_sq_norm, rel=1e-8)
 
     def test_quartic_in_eta_quadratic_in_mu(self, het_ensemble, bench_graph):
         etas = np.geomspace(1e-3, 1e-2, 6)

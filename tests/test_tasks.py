@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import mtdiff as mt
 
-from helpers import make_random_spd
+from helpers import make_random_spd, sample, stochastic_gradient
 
 
 def test_smooth_target_spectral_content(bench_graph):
@@ -95,10 +95,11 @@ class TestModel:
         assert np.allclose(het_ensemble.true_gradient(k, w0), 0.0, atol=1e-14)
 
     def test_sample_stream_layout(self, het_ensemble):
-        """sample() must consume M regressor normals then one noise normal."""
+        """The replay oracle's sample() must consume M regressor normals then
+        one noise normal, the engine's documented stream layout."""
         k = 2
         rng = np.random.default_rng(123)
-        s = mt.sample(het_ensemble, k, rng)
+        s = sample(het_ensemble, k, rng)
 
         replay = np.random.default_rng(123)
         z = replay.standard_normal(6)
@@ -115,10 +116,12 @@ class TestModel:
         rng = np.random.default_rng(5)
         k = 9
         w = rng.standard_normal(5)
-        s = mt.sample(het_ensemble, k, rng)
-        ghat = mt.stochastic_gradient(het_ensemble, k, w, s)
-        expected = -s.regressor * (s.observation - float(s.regressor @ w))
-        assert np.array_equal(ghat, expected)
+        s = sample(het_ensemble, k, rng)
+        ghat = stochastic_gradient(w, s)
+        # true-gradient form u u'(w - w0_k) plus the noise term -u v
+        u, w0 = s.regressor, het_ensemble.targets.block(k)
+        v = s.observation - float(u @ w0)
+        assert np.allclose(ghat, np.outer(u, u) @ (w - w0) - u * v, atol=1e-12)
 
     def test_stochastic_gradient_is_unbiased(self, uni_ensemble):
         k, n_draws = 3, 40_000
@@ -126,8 +129,7 @@ class TestModel:
         w = np.array([0.4, -0.2, 0.0, 1.0, -1.5])
         acc = np.zeros(5)
         for _ in range(n_draws):
-            s = mt.sample(uni_ensemble, k, rng)
-            acc += mt.stochastic_gradient(uni_ensemble, k, w, s)
+            acc += stochastic_gradient(w, sample(uni_ensemble, k, rng))
         mean = acc / n_draws
         true = uni_ensemble.true_gradient(k, w)
         # std of the mean is ~ sqrt(E||s||^2 / n); stay well above it
