@@ -79,9 +79,9 @@ __version__ = "0.1.0"
 MODULE_VERSIONS = {
     "graphs": 1,
     "tasks": 1,
-    "regularized": 1,
+    "regularized": 2,
     "engine": 2,
-    "theory": 1,
+    "theory": 2,
 }
 
 __all__ = [

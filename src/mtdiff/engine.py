@@ -37,6 +37,7 @@ reproduces the engine's data exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -89,6 +90,9 @@ class SimConfig:
             raise ValueError("mu must be finite and positive")
         if not (math.isfinite(self.eta) and self.eta >= 0.0):
             raise ValueError("eta must be finite and nonnegative")
+        for name in ("n_iters", "n_runs", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.n_iters < 0 or self.n_runs < 1:
             raise ValueError("n_iters must be >= 0 and n_runs >= 1")
         if not (0.0 < self.steady_window_frac <= 1.0):

@@ -7,6 +7,14 @@ the limiting consensus solution (eta -> infinity), the per-frequency low-pass
 view for uniform covariance profiles, and the steady-state offset that the
 adaptive recursion carries at finite step-size.  The step-size stability
 checks, which the engine and the theory module run first, live here too.
+
+Two routes solve the (NM)-dimensional systems.  When every R_uk is diagonal
+(the scalar, varying and uniform profiles, and any diagonal covariance read
+from a config) nothing couples the M components, so the solution and the bias
+each come from M N x N systems solved as one stacked batch.  Any other
+covariance takes the dense route through (NM) x (NM) matrices.  The choice
+reads only the covariances: a stack equal to its own diagonal takes the
+per-component route.
 """
 
 from __future__ import annotations
@@ -92,10 +100,7 @@ def check_stability(
     """
     lam_max = g.lambda_max
     max_deg = g.max_degree
-    curv = max(
-        float(np.linalg.eigvalsh(ensemble.hessian(k)).max())
-        for k in range(ensemble.n_agents)
-    )
+    curv = float(np.linalg.eigvalsh(ensemble.regressor_cov).max())
     conditions = (
         StabilityCondition(
             name="laplacian-spectrum",
@@ -131,6 +136,16 @@ def require_stable(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> N
         )
 
 
+def _diagonal_covariances(ensemble: TaskEnsemble) -> np.ndarray | None:
+    """(M, N) array of the covariance diagonals, row j holding R_uk[j, j] for
+    every node k, when every R_uk is exactly diagonal; None otherwise."""
+    covs = ensemble.regressor_cov
+    diag = np.diagonal(covs, axis1=1, axis2=2)
+    if np.array_equal(covs, diag[:, :, None] * np.eye(ensemble.dim)):
+        return diag.T.copy()
+    return None
+
+
 def _stacked_hessian(ensemble: TaskEnsemble, at: np.ndarray | None = None) -> np.ndarray:
     """Block-diagonal curvature blockdiag{H_k} evaluated via the per-node
     hessian-at-point interface (point-independent for quadratic costs)."""
@@ -147,18 +162,22 @@ def _stacked_laplacian(g: Graph, m: int) -> np.ndarray:
 
 
 def _spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve an SPD system, certifying with Cholesky and falling back to a
-    symmetric eigendecomposition if the factorization fails."""
+    """Solve an SPD system, or a stack of them, certifying with Cholesky and
+    falling back to a symmetric eigendecomposition if the factorization fails.
+
+    mat has shape (..., n, n) and rhs (..., n, k).
+    """
     try:
         np.linalg.cholesky(mat)
         return np.linalg.solve(mat, rhs)
     except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
-        if np.any(vals <= 1e-14 * max(1.0, float(vals.max()))):
+        vals, vecs = np.linalg.eigh(0.5 * (mat + np.swapaxes(mat, -1, -2)))
+        top = np.maximum(1.0, vals.max(axis=-1, keepdims=True))
+        if np.any(vals <= 1e-14 * top):
             raise SingularSystem(
                 f"system matrix is numerically singular (min eig {vals.min():.3e})"
             )
-        return vecs @ ((vecs.T @ rhs) / vals)
+        return vecs @ ((np.swapaxes(vecs, -1, -2) @ rhs) / vals[..., None])
 
 
 def solve_regularized(ensemble: TaskEnsemble, g: Graph, eta: float) -> RegularizedSolution:
@@ -171,13 +190,21 @@ def solve_regularized(ensemble: TaskEnsemble, g: Graph, eta: float) -> Regulariz
         raise ValueError("eta must be nonnegative")
     n, m = ensemble.n_agents, ensemble.dim
     targets = ensemble.targets.values
+    diag = _diagonal_covariances(ensemble)
     if eta == 0.0:
         sol = StackedSignal(n, m, targets)
-    else:
+    elif diag is None:
         hess = _stacked_hessian(ensemble)
         mat = hess + eta * _stacked_laplacian(g, m)
-        w = _spd_solve(mat, hess @ targets)
+        w = _spd_solve(mat, (hess @ targets)[:, None])[:, 0]
         sol = StackedSignal(n, m, w)
+    else:  # component j: (eta L + diag(R[:, j, j])) w_j = diag(R[:, j, j]) w0_j
+        mats = np.broadcast_to(eta * g.laplacian, (m, n, n)).copy()
+        nodes = np.arange(n)
+        mats[:, nodes, nodes] += diag
+        rhs = diag * ensemble.targets.blocks.T
+        w = _spd_solve(mats, rhs[:, :, None])[:, :, 0]
+        sol = StackedSignal.from_blocks(w.T)
     mismatch = sol.values - targets
     return RegularizedSolution(
         eta=float(eta),
@@ -198,7 +225,7 @@ def pareto_solution(ensemble: TaskEnsemble) -> np.ndarray:
     rhs = np.einsum(
         "kij,kj->i", ensemble.regressor_cov, ensemble.targets.blocks
     )
-    return _spd_solve(total, rhs)
+    return _spd_solve(total, rhs[:, None])[:, 0]
 
 
 def spectral_filter_solution(
@@ -217,12 +244,9 @@ def spectral_filter_solution(
             "per-frequency filtering requires a common regressor covariance"
         )
     r_u = ensemble.regressor_cov[0]
-    m = ensemble.dim
+    curvature = eta * g.eigenvalues[:, None, None] * np.eye(ensemble.dim) + r_u
     target_bar = gft(ensemble.targets, g).blocks
-    out = np.empty_like(target_bar)
-    for idx, lam in enumerate(g.eigenvalues):
-        out[idx] = np.linalg.solve(eta * lam * np.eye(m) + r_u, r_u @ target_bar[idx])
-    return out
+    return np.linalg.solve(curvature, (target_bar @ r_u)[:, :, None])[:, :, 0]
 
 
 def long_term_bias(
@@ -249,11 +273,21 @@ def _long_term_bias(
     if eta == 0.0:
         bias = np.zeros(n * m)
         return BiasReport(mu=float(mu), eta=0.0, bias_vector=bias, bias_sq_norm=0.0)
-    lap = _stacked_laplacian(g, m)
-    hess = _stacked_hessian(ensemble, at=reg.solution.blocks)
-    b_eta = (np.eye(n * m) - mu * eta * lap) @ (np.eye(n * m) - mu * hess)
-    rhs = (mu * eta) ** 2 * (lap @ (lap @ reg.solution.values))
-    bias = np.linalg.solve(np.eye(n * m) - b_eta, rhs)
+    diag = _diagonal_covariances(ensemble)
+    if diag is None:
+        lap = _stacked_laplacian(g, m)
+        hess = _stacked_hessian(ensemble, at=reg.solution.blocks)
+        b_eta = (np.eye(n * m) - mu * eta * lap) @ (np.eye(n * m) - mu * hess)
+        rhs = (mu * eta) ** 2 * (lap @ (lap @ reg.solution.values))
+        bias = np.linalg.solve(np.eye(n * m) - b_eta, rhs)
+    else:  # component j: (I - (I - mu eta L) diag(1 - mu R[:, j, j])) x_j = rhs[:, j]
+        lap = g.laplacian
+        combine = np.eye(n) - mu * eta * lap
+        mats = -combine * (1.0 - mu * diag)[:, None, :]
+        nodes = np.arange(n)
+        mats[:, nodes, nodes] += 1.0
+        rhs = (mu * eta) ** 2 * (lap @ (lap @ reg.solution.blocks))
+        bias = np.linalg.solve(mats, rhs.T[:, :, None])[:, :, 0].T.reshape(-1)
     return BiasReport(
         mu=float(mu),
         eta=float(eta),

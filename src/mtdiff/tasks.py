@@ -83,10 +83,6 @@ class TaskEnsemble:
         """
         return self.regressor_cov[agent]
 
-    def true_gradient(self, agent: int, w: np.ndarray) -> np.ndarray:
-        """Exact cost gradient R_uk (w - w0_k)."""
-        return self.regressor_cov[agent] @ (np.asarray(w, float) - self.targets.block(agent))
-
 
 def make_smooth_target(g: Graph, tau: np.ndarray, dim: int) -> StackedSignal:
     """Synthesize targets whose graph-frequency content decays like exp(-tau_j * lambda_m).

@@ -8,6 +8,13 @@ predictor sit the non-cooperative baseline, the deviation measured against the
 unregularized targets (which adds the solution mismatch and a bias cross
 term), and a grid optimizer for the penalty strength.
 
+The per-node and per-frequency terms are batched over all nodes and
+frequencies for every covariance profile: one stacked formula gives the
+gradient-noise covariances, and each predictor is one stacked M x M solve plus
+a trace.  The regularized solution and the bias come from the regularized
+module, which solves them per component when every R_uk is diagonal and
+densely otherwise.
+
 A brute-force matrix-series evaluator of the same steady-state variance is
 included as an expensive validation path; tests compare the two routes on
 small problems.
@@ -53,6 +60,16 @@ class TheoryReport:
     bias_cross_term: float | None = None
 
 
+def _noise_covariances(ensemble: TaskEnsemble, reg: RegularizedSolution) -> np.ndarray:
+    """(N, M, M) stack of every node's noise_covariance, using W = d d' for
+    the mismatch d: R W R = (R d)(R d)' and Tr(R W) = d' R d."""
+    covs = ensemble.regressor_cov
+    delta = ensemble.targets.blocks - reg.solution.blocks
+    r_delta = np.einsum("kij,kj->ki", covs, delta)
+    scale = np.einsum("ki,ki->k", delta, r_delta) + ensemble.noise_var
+    return r_delta[:, :, None] * r_delta[:, None, :] + scale[:, None, None] * covs
+
+
 def noise_covariance(
     ensemble: TaskEnsemble, agent: int, reg: RegularizedSolution
 ) -> np.ndarray:
@@ -63,29 +80,37 @@ def noise_covariance(
     node's regularized-vs-own-target mismatch.  At eta = 0 the mismatch
     vanishes and only the sigma_v^2 R floor remains.
     """
-    r = ensemble.regressor_cov[agent]
-    delta = ensemble.targets.block(agent) - reg.solution.block(agent)
-    w_mis = np.outer(delta, delta)
-    rw = r @ w_mis
-    return rw @ r + r * float(np.trace(rw)) + ensemble.noise_var[agent] * r
+    return _noise_covariances(ensemble, reg)[agent]
+
+
+def _frequency_weighted(g: Graph, stack: np.ndarray) -> np.ndarray:
+    """Per-frequency mixtures sum_k v_m(k)^2 X_k of an (N, M, M) node stack."""
+    n, m = stack.shape[:2]
+    return ((g.eigenvectors**2).T @ stack.reshape(n, m * m)).reshape(n, m, m)
+
+
+def _trace_solve(mu: float, curvature: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """mu/(2N) * Tr(curvature_m^{-1} noise_m) for each of the N stacked pairs."""
+    n = curvature.shape[0]
+    return mu / (2.0 * n) * np.trace(np.linalg.solve(curvature, noise), axis1=1, axis2=2)
 
 
 def _per_frequency_terms(
     ensemble: TaskEnsemble, g: Graph, mu: float, reg: RegularizedSolution
-) -> np.ndarray:
-    """Summands of the steady-state predictor, one per graph frequency."""
-    n, m, eta = ensemble.n_agents, ensemble.dim, reg.eta
-    noise = np.stack([noise_covariance(ensemble, k, reg) for k in range(n)])
-    hess = np.stack([ensemble.hessian(k, reg.solution.block(k)) for k in range(n)])
-    weights = g.eigenvectors**2  # [m accesses column m]
-    terms = np.empty(n)
-    eye = np.eye(m)
-    for idx in range(n):
-        w = weights[:, idx]
-        a = np.einsum("k,kij->ij", w, hess) + eta * g.eigenvalues[idx] * eye
-        b = np.einsum("k,kij->ij", w, noise)
-        terms[idx] = mu / (2.0 * n) * float(np.trace(np.linalg.solve(a, b)))
-    return terms
+) -> tuple[np.ndarray, float | None]:
+    """Summands of the steady-state predictor, one per graph frequency, and
+    for uniform profiles the exact uniform-profile sum (None otherwise).
+
+    Both read the same per-frequency noise mixtures; the uniform sum uses the
+    curvature R_u + eta*lambda_m*I (see msd_uniform).
+    """
+    noise = _frequency_weighted(g, _noise_covariances(ensemble, reg))
+    shift = reg.eta * g.eigenvalues[:, None, None] * np.eye(ensemble.dim)
+    curvature = _frequency_weighted(g, ensemble.regressor_cov) + shift
+    uniform = None
+    if ensemble.is_uniform:
+        uniform = float(_trace_solve(mu, ensemble.regressor_cov[0] + shift, noise).sum())
+    return _trace_solve(mu, curvature, noise), uniform
 
 
 def msd_theory(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> TheoryReport:
@@ -96,7 +121,7 @@ def msd_theory(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> Theor
     """
     require_stable(ensemble, g, mu, eta)
     reg = solve_regularized(ensemble, g, eta)
-    terms = _per_frequency_terms(ensemble, g, mu, reg)
+    terms, _ = _per_frequency_terms(ensemble, g, mu, reg)
     return TheoryReport(
         mu=float(mu),
         eta=float(eta),
@@ -111,13 +136,10 @@ def msd_noncoop(ensemble: TaskEnsemble, mu: float) -> float:
     Each node contributes mu/2 * Tr(H_k^{-1} R_{s,k}) evaluated at its own
     target, which for the built-in quadratic model is mu * M * sigma_v^2 / 2.
     """
-    n = ensemble.n_agents
-    total = 0.0
-    for k in range(n):
-        h = ensemble.hessian(k, ensemble.targets.block(k))
-        r_s = ensemble.noise_var[k] * h
-        total += float(np.trace(np.linalg.solve(h, r_s)))
-    return mu / (2.0 * n) * total
+    covs = ensemble.regressor_cov
+    r_s = ensemble.noise_var[:, None, None] * covs
+    total = float(np.trace(np.linalg.solve(covs, r_s), axis1=1, axis2=2).sum())
+    return mu / (2.0 * ensemble.n_agents) * total
 
 
 def msd_uniform(
@@ -138,12 +160,8 @@ def msd_uniform(
     n = ensemble.n_agents
     lam_u = np.linalg.eigvalsh(ensemble.regressor_cov[0])
     sigma_v = float(ensemble.noise_var.mean())
-    per_lambda = np.array(
-        [
-            mu / (2.0 * n) * sigma_v * float(np.sum(1.0 / (1.0 + eta * lam / lam_u)))
-            for lam in g.eigenvalues
-        ]
-    )
+    ratios = 1.0 / (1.0 + eta * g.eigenvalues[:, None] / lam_u[None, :])
+    per_lambda = mu / (2.0 * n) * sigma_v * ratios.sum(axis=1)
     return total, per_lambda
 
 
@@ -162,23 +180,12 @@ def theory_report(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> Th
     """Fully populated report at one (mu, eta) point."""
     require_stable(ensemble, g, mu, eta)
     reg = solve_regularized(ensemble, g, eta)
-    terms = _per_frequency_terms(ensemble, g, mu, reg)
+    terms, uniform = _per_frequency_terms(ensemble, g, mu, reg)
     msd_total = float(terms.sum())
     bias = _long_term_bias(ensemble, g, mu, reg)
     n = ensemble.n_agents
     mismatch = ensemble.targets.values - reg.solution.values
     cross = 2.0 / n * float(mismatch @ bias.bias_vector)
-    uniform = None
-    if ensemble.is_uniform:  # curvature R_u + eta*lambda_m*I; see msd_uniform
-        noise = np.stack([noise_covariance(ensemble, k, reg) for k in range(n)])
-        r_u = ensemble.regressor_cov[0]
-        eye = np.eye(ensemble.dim)
-        weights = g.eigenvectors**2
-        uniform = 0.0
-        for idx in range(n):
-            a = r_u + eta * g.eigenvalues[idx] * eye
-            b = np.einsum("k,kij->ij", weights[:, idx], noise)
-            uniform += mu / (2.0 * n) * float(np.trace(np.linalg.solve(a, b)))
     return TheoryReport(
         mu=float(mu),
         eta=float(eta),
@@ -252,10 +259,8 @@ def lyapunov_msd(
     combine = eye - mu * eta * lap
     closed_loop = combine @ (eye - mu * hess)
     noise = np.zeros((n * m, n * m))
-    for k in range(n):
-        noise[k * m : (k + 1) * m, k * m : (k + 1) * m] = noise_covariance(
-            ensemble, k, reg
-        )
+    for k, block in enumerate(_noise_covariances(ensemble, reg)):
+        noise[k * m : (k + 1) * m, k * m : (k + 1) * m] = block
     injected = mu * mu * (combine @ noise @ combine)
     term = injected
     total = float(np.trace(term))

@@ -2,10 +2,11 @@
 
 Everything in this file is deliberately written *without* calling the package
 code it is used to check.  The eigenvalue oracle goes through the
-characteristic polynomial, the regularized-solution oracle through plain batch
-gradient descent, the noise-covariance oracle through brute-force sampling,
-the steady-state bias oracle through the noise-free recursion itself, and the
-replay oracle's sampler through its own Cholesky factors.
+characteristic polynomial, the regularized-solution oracles through plain batch
+gradient descent and through one explicit dense (NM) x (NM) solve, the
+noise-covariance oracle through brute-force sampling, the steady-state bias
+oracle through the noise-free recursion itself, and the replay oracle's
+sampler through its own Cholesky factors.
 Keep it that way: the moment an oracle shares a code path with the production
 routine, the corresponding test stops being evidence.
 """
@@ -125,6 +126,24 @@ def batch_gd_minimize(
     return w
 
 
+def dense_regularized_solution(
+    covs: np.ndarray, targets: np.ndarray, laplacian: np.ndarray, eta: float
+) -> np.ndarray:
+    """Minimizer of the same objective from the explicit (NM) x (NM) system.
+
+    Builds blockdiag{R_k} and L kron I entry by entry and solves
+    (H + eta L kron I) w = H w0 with one general dense solve, whatever the
+    covariances look like.  Returns the minimizer as an (N, M) array.
+    """
+    n, m = targets.shape
+    hess = np.zeros((n * m, n * m))
+    for k in range(n):
+        hess[k * m : (k + 1) * m, k * m : (k + 1) * m] = covs[k]
+    lap = np.kron(laplacian, np.eye(m))
+    w = np.linalg.solve(hess + eta * lap, hess @ targets.reshape(-1))
+    return w.reshape(n, m)
+
+
 def noise_free_recursion(
     covs: np.ndarray,
     targets: np.ndarray,
@@ -169,6 +188,12 @@ def sample(ensemble, agent: int, rng: np.random.Generator) -> DataSample:
     v = np.sqrt(ensemble.noise_var[agent]) * z[m]
     d = float(u @ ensemble.targets.block(agent) + v)
     return DataSample(agent=agent, regressor=u, observation=d)
+
+
+def true_gradient(ensemble, agent: int, w: np.ndarray) -> np.ndarray:
+    """Exact cost gradient R_uk (w - w0_k) of one node's quadratic cost."""
+    target = ensemble.targets.blocks[agent]
+    return ensemble.regressor_cov[agent] @ (np.asarray(w, float) - target)
 
 
 def stochastic_gradient(w: np.ndarray, s: DataSample) -> np.ndarray:

@@ -226,6 +226,9 @@ class TestConfigAndStability:
             dict(mu=1e-3, eta=0.0, seed=2**64),
             dict(mu=1e-3, eta=0.0, init=np.full(75, np.nan)),
             dict(mu=1e-3, eta=0.0, init=np.array([0.0, np.inf])),
+            dict(mu=1e-3, eta=0.0, n_runs=2.5),
+            dict(mu=1e-3, eta=0.0, n_iters=10.5),
+            dict(mu=1e-3, eta=0.0, seed=1.5),
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

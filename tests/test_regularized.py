@@ -11,9 +11,11 @@ import mtdiff as mt
 
 from helpers import (
     batch_gd_minimize,
+    dense_regularized_solution,
     make_random_spd,
     noise_free_recursion,
     random_connected_adjacency,
+    true_gradient,
 )
 
 
@@ -43,7 +45,7 @@ class TestSolveRegularized:
         w = reg.solution.blocks
         resid = np.empty_like(w)
         for k in range(15):
-            resid[k] = het_ensemble.true_gradient(k, w[k])
+            resid[k] = true_gradient(het_ensemble, k, w[k])
         resid += eta * bench_graph.laplacian @ w
         assert np.max(np.abs(resid)) < 1e-8
 
@@ -83,9 +85,107 @@ class TestSolveRegularized:
         reg = mt.solve_regularized(ens, g, eta)
         w = reg.solution.blocks
         resid = np.stack(
-            [ens.true_gradient(k, w[k]) for k in range(ens.n_agents)]
+            [true_gradient(ens, k, w[k]) for k in range(ens.n_agents)]
         ) + eta * g.laplacian @ w
         assert np.max(np.abs(resid)) < 1e-8 * max(1.0, float(np.abs(w).max()))
+
+
+def _structured_problem(seed: int, kind: str):
+    """Random problem whose covariances are diagonal, isotropic (per-node
+    sigma_k^2 I) or uniform (one diagonal R shared by every node)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    m = int(rng.integers(1, 4))
+    g = mt.build_graph(random_connected_adjacency(rng, n))
+    tgt = mt.StackedSignal.from_blocks(rng.standard_normal((n, m)))
+    if kind == "diagonal":
+        diag = rng.uniform(0.5, 2.0, (n, m))
+    elif kind == "isotropic":
+        diag = np.repeat(rng.uniform(0.5, 2.0, (n, 1)), m, axis=1)
+    else:
+        diag = np.broadcast_to(rng.uniform(0.5, 2.0, m), (n, m))
+    covs = diag[:, :, None] * np.eye(m)
+    ens = mt.TaskEnsemble(
+        targets=tgt, regressor_cov=covs, noise_var=rng.uniform(0.02, 0.5, n)
+    )
+    return ens, g
+
+
+def _check_against_oracles(ens, g, eta, mu):
+    """solve_regularized against the dense and gradient-descent oracles, and
+    long_term_bias against the noise-free recursion."""
+    covs, targets, lap = ens.regressor_cov, ens.targets.blocks, g.laplacian
+    reg = mt.solve_regularized(ens, g, eta)
+    for oracle in (
+        dense_regularized_solution(covs, targets, lap, eta),
+        batch_gd_minimize(covs, targets, lap, eta),
+    ):
+        rel = np.linalg.norm(reg.solution.blocks - oracle) / max(
+            np.linalg.norm(oracle), 1e-30
+        )
+        assert rel < 1e-8
+    rep = mt.long_term_bias(ens, g, mu, eta)
+    w_inf = noise_free_recursion(covs, targets, lap, mu, eta)
+    offset = (reg.solution.blocks - w_inf).reshape(-1)
+    assert np.max(np.abs(offset - rep.bias_vector)) < 1e-12
+    assert float(offset @ offset) == pytest.approx(rep.bias_sq_norm, rel=1e-8)
+
+
+class TestStructuredCovariances:
+    """Diagonal covariances are solved per component; full ones densely."""
+
+    @settings(max_examples=30)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["diagonal", "isotropic", "uniform"]),
+        st.sampled_from([0.1, 1.0, 2.0]),
+    )
+    def test_diagonal_profiles_match_oracles(self, seed, kind, eta):
+        ens, g = _structured_problem(seed, kind)
+        _check_against_oracles(ens, g, eta, mu=0.05)
+
+    @pytest.mark.parametrize("seed", [3, 42])
+    def test_full_covariances_match_oracles(self, seed):
+        ens, g = _random_problem(seed)
+        _check_against_oracles(ens, g, 1.0, mu=0.05)
+
+    def test_isotropic_report_never_builds_dense_matrices(
+        self, monkeypatch, het_ensemble, bench_graph
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense (NM) x (NM) matrix built")
+
+        for name in ("_stacked_hessian", "_stacked_laplacian"):
+            for module in (mt.regularized, mt.theory):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        rep = mt.theory_report(het_ensemble, bench_graph, 1e-3, 5.0)
+        assert np.isfinite(rep.msd_bar) and rep.bias_cross_term != 0.0
+
+
+class TestSpdSolve:
+    def test_stack_matches_each_system(self):
+        rng = np.random.default_rng(0)
+        mats = np.stack([make_random_spd(rng, 4) for _ in range(3)])
+        rhs = rng.standard_normal((3, 4, 2))
+        got = mt.regularized._spd_solve(mats, rhs)
+        for a, b, x in zip(mats, rhs, got):
+            assert np.max(np.abs(a @ x - b)) < 1e-12
+
+    def test_stack_falls_back_to_symmetric_part(self):
+        """Cholesky reads one triangle; when that triangle is indefinite but
+        the symmetric part is SPD, the eigh fallback solves the symmetric part."""
+        odd = np.array([[1.0, -0.9], [1.5, 1.0]])
+        mats = np.stack([np.eye(2), odd])
+        rhs = np.ones((2, 2, 1))
+        got = mt.regularized._spd_solve(mats, rhs)
+        sym = 0.5 * (odd + odd.T)
+        assert np.max(np.abs(sym @ got[1] - rhs[1])) < 1e-12
+        assert np.allclose(got[0], rhs[0], rtol=0.0, atol=1e-15)
+
+    def test_singular_member_of_stack_raises(self):
+        mats = np.stack([np.eye(2), np.ones((2, 2))])
+        with pytest.raises(mt.SingularSystem):
+            mt.regularized._spd_solve(mats, np.ones((2, 2, 1)))
 
 
 class TestLimits:
