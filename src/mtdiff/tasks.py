@@ -77,9 +77,9 @@ class TaskEnsemble:
     def hessian(self, agent: int, w: np.ndarray | None = None) -> np.ndarray:
         """Cost curvature at a point.
 
-        For the built-in quadratic cost this is R_uk regardless of w; the
-        point argument exists so non-quadratic costs can slot in later without
-        changing any caller.
+        For the built-in quadratic cost this is R_uk regardless of w, which is
+        why the batched theory terms and the stability check read
+        regressor_cov directly as every node's curvature.
         """
         return self.regressor_cov[agent]
 

@@ -144,9 +144,10 @@ class TestStructuredCovariances:
         ens, g = _structured_problem(seed, kind)
         _check_against_oracles(ens, g, eta, mu=0.05)
 
-    @pytest.mark.parametrize("seed", [3, 42])
+    @pytest.mark.parametrize("seed", [0, 4, 42])
     def test_full_covariances_match_oracles(self, seed):
         ens, g = _random_problem(seed)
+        assert mt.regularized._diagonal_covariances(ens) is None  # dense route
         _check_against_oracles(ens, g, 1.0, mu=0.05)
 
     def test_isotropic_report_never_builds_dense_matrices(
