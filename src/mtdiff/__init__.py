@@ -47,10 +47,8 @@ from .regularized import (
     StabilityVerdict,
     check_stability,
     long_term_bias,
-    pareto_solution,
     require_stable,
     solve_regularized,
-    spectral_filter_solution,
 )
 from .tasks import (
     TaskEnsemble,
@@ -62,12 +60,7 @@ from .tasks import (
 from .theory import (
     EtaSweep,
     TheoryReport,
-    lyapunov_msd,
-    msd_bar,
     msd_noncoop,
-    msd_theory,
-    msd_uniform,
-    noise_covariance,
     optimize_eta,
     theory_report,
 )
@@ -117,23 +110,16 @@ __all__ = [
     "igft",
     "load_edge_list",
     "long_term_bias",
-    "lyapunov_msd",
     "make_smooth_target",
     "monte_carlo",
-    "msd_bar",
     "msd_noncoop",
-    "msd_theory",
-    "msd_uniform",
-    "noise_covariance",
     "optimize_eta",
-    "pareto_solution",
     "random_geometric_graph",
     "require_stable",
     "run_single",
     "scalar_profile",
     "smoothness",
     "solve_regularized",
-    "spectral_filter_solution",
     "theory_report",
     "uniform_profile",
     "varying_profile",

@@ -93,6 +93,18 @@ def _single(values: tuple[float, ...], key: str) -> float:
     return values[0]
 
 
+def _sim_config(cfg: ExperimentConfig, mu: float, eta: float) -> SimConfig:
+    a = cfg.algo
+    return SimConfig(
+        mu=mu,
+        eta=eta,
+        n_iters=a.n_iters,
+        n_runs=a.n_runs,
+        seed=a.seed,
+        steady_window_frac=a.steady_window_frac,
+    )
+
+
 def _out_dir(cfg: ExperimentConfig) -> Path:
     d = Path(cfg.output.dir)
     d.mkdir(parents=True, exist_ok=True)
@@ -155,16 +167,8 @@ def cmd_theory(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
 def cmd_simulate(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
     mu = _single(cfg.algo.mu, "algo.mu")
     eta = _single(cfg.algo.eta, "algo.eta")
-    sim = SimConfig(
-        mu=mu,
-        eta=eta,
-        n_iters=cfg.algo.n_iters,
-        n_runs=cfg.algo.n_runs,
-        seed=cfg.algo.seed,
-        steady_window_frac=cfg.algo.steady_window_frac,
-    )
     report = theory_report(ens, g, mu, eta)
-    res = monte_carlo(ens, g, sim, jobs=cfg.algo.jobs)
+    res = monte_carlo(ens, g, _sim_config(cfg, mu, eta), jobs=cfg.algo.jobs)
 
     out = _out_dir(cfg)
     meta = _metadata(cfg, "simulate")
@@ -293,15 +297,7 @@ def cmd_sweep_eta(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
     if cfg.sweep.spot_check:
         check_etas = sorted({0.0, sweep.eta_star, float(grid[-1])})
         for eta in check_etas:
-            sim = SimConfig(
-                mu=mu,
-                eta=eta,
-                n_iters=cfg.algo.n_iters,
-                n_runs=cfg.algo.n_runs,
-                seed=cfg.algo.seed,
-                steady_window_frac=cfg.algo.steady_window_frac,
-            )
-            res = monte_carlo(ens, g, sim, jobs=cfg.algo.jobs)
+            res = monte_carlo(ens, g, _sim_config(cfg, mu, eta), jobs=cfg.algo.jobs)
             spot.append((eta, res.steady_msd_vs_target))
         if "csv" in cfg.output.formats:
             spot_rows = [
@@ -349,8 +345,11 @@ def cmd_filter_response(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> N
         raise NonUniformProfile(
             "filter-response requires the uniform covariance profile"
         )
-    r_u = ens.regressor_cov[0]
-    lam_u_max = float(np.linalg.eigvalsh(r_u)[-1])
+    lam_u_max = float(np.linalg.eigvalsh(ens.regressor_cov[0])[-1])
+
+    def gain(eta: float, lam: float) -> float:
+        return 1.0 / (1.0 + eta * lam / lam_u_max)
+
     lam_grid = np.linspace(0.0, cfg.filter.lambda_max, cfg.filter.lambda_points)
 
     out = _out_dir(cfg)
@@ -358,7 +357,7 @@ def cmd_filter_response(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> N
     rows = []
     for eta in cfg.algo.eta:
         for lam in lam_grid:
-            rows.append([eta, float(lam), 1.0 / (1.0 + eta * float(lam) / lam_u_max)])
+            rows.append([eta, float(lam), gain(eta, float(lam))])
     if "csv" in cfg.output.formats:
         _write_csv(out / "filter.csv", meta, ["eta", "lambda", "ratio"], rows)
 
@@ -371,9 +370,7 @@ def cmd_filter_response(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> N
         for m in range(g.n_agents):
             lam = float(g.eigenvalues[m])
             ratio = float(norms[m] / base_norms[m]) if base_norms[m] > 0.0 else None
-            target_rows.append(
-                [eta, m + 1, lam, ratio, 1.0 / (1.0 + eta * lam / lam_u_max)]
-            )
+            target_rows.append([eta, m + 1, lam, ratio, gain(eta, lam)])
     if "csv" in cfg.output.formats:
         _write_csv(
             out / "filter_targets.csv",
@@ -384,11 +381,7 @@ def cmd_filter_response(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> N
 
     if "svg" in cfg.output.formats:
         series = [
-            Series(
-                f"eta={eta:g}",
-                lam_grid,
-                [1.0 / (1.0 + eta * float(lam) / lam_u_max) for lam in lam_grid],
-            )
+            Series(f"eta={eta:g}", lam_grid, [gain(eta, float(lam)) for lam in lam_grid])
             for eta in cfg.algo.eta
         ]
         doc = line_chart(
@@ -400,7 +393,7 @@ def cmd_filter_response(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> N
         )
         _write_svg(out / "filter.svg", doc)
     for eta in cfg.algo.eta:
-        worst = 1.0 / (1.0 + eta * float(lam_grid[-1]) / lam_u_max)
+        worst = gain(eta, float(lam_grid[-1]))
         print(f"eta={eta:g}: gain at lambda={lam_grid[-1]:g} is {worst:.4f}")
 
 

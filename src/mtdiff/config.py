@@ -245,6 +245,8 @@ def _validate(sections: dict[str, Any]) -> None:
         raise ConfigError("graph.source = edges requires graph.path")
     if g.source == "generator" and (g.n < 2 or not (0.0 < g.radius) or g.weight <= 0.0):
         raise ConfigError("generator needs graph.n >= 2, radius > 0, weight > 0")
+    if g.max_degree < 0:
+        raise ConfigError("graph.max_degree must be >= 0 (0 disables the cap)")
     if e.dim < 1:
         raise ConfigError("ensemble.dim must be >= 1")
     if e.target not in ("smooth", "file"):
@@ -293,7 +295,7 @@ def build_graph(cfg: ExperimentConfig) -> Graph:
         g.radius,
         weight=g.weight,
         seed=g.seed,
-        max_degree=g.max_degree if g.max_degree > 0 else None,
+        max_degree=g.max_degree or None,
     )
 
 

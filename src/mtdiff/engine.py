@@ -62,10 +62,7 @@ DIVERGENCE_GUARD = 1e12
 
 def default_horizon(ensemble: TaskEnsemble, mu: float) -> int:
     """Iterations until the slowest error mode has decayed by e^-30."""
-    lam_min = min(
-        float(np.linalg.eigvalsh(ensemble.hessian(k)).min())
-        for k in range(ensemble.n_agents)
-    )
+    lam_min = float(np.linalg.eigvalsh(ensemble.regressor_cov).min())
     return int(math.ceil(30.0 / (mu * lam_min)))
 
 

@@ -115,8 +115,8 @@ def build_graph(adjacency: np.ndarray) -> Graph:
 
     The matrix must be square, finite, symmetric (within 1e-12), entrywise
     nonnegative, and zero on the diagonal; the resulting graph must be
-    connected.  Eigenvalues come back sorted ascending with the structural
-    zero first.
+    connected, with finite degrees and spectrum (GraphError on overflow).
+    Eigenvalues come back sorted ascending with the structural zero first.
     """
     adj = np.asarray(adjacency, dtype=float)
     if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
@@ -129,7 +129,8 @@ def build_graph(adjacency: np.ndarray) -> Graph:
     asym = float(np.max(np.abs(adj - adj.T))) if n > 1 else 0.0
     if asym > 1e-12:
         raise NotSymmetric(f"adjacency asymmetry {asym:.3e} exceeds 1e-12")
-    adj = 0.5 * (adj + adj.T)  # exact symmetry for the eigensolver
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        adj = 0.5 * (adj + adj.T)  # exact symmetry for the eigensolver
     if np.any(adj < 0.0):
         k, l = np.argwhere(adj < 0.0)[0]
         raise NegativeWeight(f"negative weight a[{k},{l}] = {adj[k, l]}")
@@ -137,9 +138,17 @@ def build_graph(adjacency: np.ndarray) -> Graph:
         k = int(np.nonzero(np.diag(adj))[0][0])
         raise NonzeroDiagonal(f"self-loop on node {k} (a[{k},{k}] = {adj[k, k]})")
 
-    degrees = adj.sum(axis=1)
+    with np.errstate(over="ignore"):
+        degrees = adj.sum(axis=1)
+    if not np.all(np.isfinite(degrees)):
+        raise GraphError("weighted degrees overflow; scale the edge weights down")
     laplacian = np.diag(degrees) - adj
-    eigvals, eigvecs = np.linalg.eigh(laplacian)
+    try:
+        eigvals, eigvecs = np.linalg.eigh(laplacian)
+    except np.linalg.LinAlgError as exc:
+        raise GraphError(f"Laplacian eigendecomposition failed: {exc}") from exc
+    if not np.all(np.isfinite(eigvals)):
+        raise GraphError("Laplacian eigenvalues overflow; scale the edge weights down")
     order = np.argsort(eigvals, kind="stable")
     eigvals = eigvals[order]
     eigvecs = _fix_eigenvector_signs(eigvecs[:, order])

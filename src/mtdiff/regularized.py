@@ -2,11 +2,10 @@
 
 The network cost is sum_k J_k(w_k) + (eta/2) * smoothness(W).  For the
 built-in quadratic costs the minimizer solves the SPD linear system
-(H + eta * (L kron I)) W = H W0 with H = blockdiag{R_uk}, which also yields
-the limiting consensus solution (eta -> infinity), the per-frequency low-pass
-view for uniform covariance profiles, and the steady-state offset that the
-adaptive recursion carries at finite step-size.  The step-size stability
-checks, which the engine and the theory module run first, live here too.
+(H + eta * (L kron I)) W = H W0 with H = blockdiag{R_uk}; the same system
+gives the steady-state offset that the adaptive recursion carries at finite
+step-size.  The step-size stability checks, which the engine and the theory
+module run first, live here too.
 
 Two routes solve the (NM)-dimensional systems.  When every R_uk is diagonal
 (the scalar, varying and uniform profiles, and any diagonal covariance read
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonUniformProfile, SingularSystem, UnstableConfiguration
+from .errors import SingularSystem, UnstableConfiguration
 from .graphs import Graph, StackedSignal, gft
 from .tasks import TaskEnsemble
 
@@ -146,14 +145,12 @@ def _diagonal_covariances(ensemble: TaskEnsemble) -> np.ndarray | None:
     return None
 
 
-def _stacked_hessian(ensemble: TaskEnsemble, at: np.ndarray | None = None) -> np.ndarray:
-    """Block-diagonal curvature blockdiag{H_k} evaluated via the per-node
-    hessian-at-point interface (point-independent for quadratic costs)."""
+def _stacked_hessian(ensemble: TaskEnsemble) -> np.ndarray:
+    """Block-diagonal curvature blockdiag{R_uk} of the quadratic costs."""
     n, m = ensemble.n_agents, ensemble.dim
     big = np.zeros((n * m, n * m))
-    for k in range(n):
-        point = None if at is None else at[k]
-        big[k * m : (k + 1) * m, k * m : (k + 1) * m] = ensemble.hessian(k, point)
+    for k, cov in enumerate(ensemble.regressor_cov):
+        big[k * m : (k + 1) * m, k * m : (k + 1) * m] = cov
     return big
 
 
@@ -214,41 +211,6 @@ def solve_regularized(ensemble: TaskEnsemble, g: Graph, eta: float) -> Regulariz
     )
 
 
-def pareto_solution(ensemble: TaskEnsemble) -> np.ndarray:
-    """Common vector minimizing the aggregate cost sum_k J_k(w).
-
-    For quadratic costs this is the covariance-weighted mean of the targets,
-    and it is the limit every block of the regularized solution approaches as
-    the penalty grows without bound.
-    """
-    total = ensemble.regressor_cov.sum(axis=0)
-    rhs = np.einsum(
-        "kij,kj->i", ensemble.regressor_cov, ensemble.targets.blocks
-    )
-    return _spd_solve(total, rhs[:, None])[:, 0]
-
-
-def spectral_filter_solution(
-    ensemble: TaskEnsemble, g: Graph, eta: float
-) -> np.ndarray:
-    """Per-frequency form of the regularized solution for uniform profiles.
-
-    With a common regressor covariance R_u the problem decouples across graph
-    frequencies: block m of the solution's transform is
-    (eta * lambda_m I + R_u)^{-1} R_u applied to the target's block m — a
-    low-pass response in the graph frequency lambda_m.  Returns the (N, M)
-    array of filtered blocks.
-    """
-    if not ensemble.is_uniform:
-        raise NonUniformProfile(
-            "per-frequency filtering requires a common regressor covariance"
-        )
-    r_u = ensemble.regressor_cov[0]
-    curvature = eta * g.eigenvalues[:, None, None] * np.eye(ensemble.dim) + r_u
-    target_bar = gft(ensemble.targets, g).blocks
-    return np.linalg.solve(curvature, (target_bar @ r_u)[:, :, None])[:, :, 0]
-
-
 def long_term_bias(
     ensemble: TaskEnsemble, g: Graph, mu: float, eta: float
 ) -> BiasReport:
@@ -276,7 +238,7 @@ def _long_term_bias(
     diag = _diagonal_covariances(ensemble)
     if diag is None:
         lap = _stacked_laplacian(g, m)
-        hess = _stacked_hessian(ensemble, at=reg.solution.blocks)
+        hess = _stacked_hessian(ensemble)
         b_eta = (np.eye(n * m) - mu * eta * lap) @ (np.eye(n * m) - mu * hess)
         rhs = (mu * eta) ** 2 * (lap @ (lap @ reg.solution.values))
         bias = np.linalg.solve(np.eye(n * m) - b_eta, rhs)

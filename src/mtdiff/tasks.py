@@ -74,15 +74,6 @@ class TaskEnsemble:
         """True when every node shares the same regressor covariance."""
         return bool(np.all(self.regressor_cov == self.regressor_cov[0]))
 
-    def hessian(self, agent: int, w: np.ndarray | None = None) -> np.ndarray:
-        """Cost curvature at a point.
-
-        For the built-in quadratic cost this is R_uk regardless of w, which is
-        why the batched theory terms and the stability check read
-        regressor_cov directly as every node's curvature.
-        """
-        return self.regressor_cov[agent]
-
 
 def make_smooth_target(g: Graph, tau: np.ndarray, dim: int) -> StackedSignal:
     """Synthesize targets whose graph-frequency content decays like exp(-tau_j * lambda_m).

@@ -13,11 +13,8 @@ frequencies for every covariance profile: one stacked formula gives the
 gradient-noise covariances, and each predictor is one stacked M x M solve plus
 a trace.  The regularized solution and the bias come from the regularized
 module, which solves them per component when every R_uk is diagonal and
-densely otherwise.
-
-A brute-force matrix-series evaluator of the same steady-state variance is
-included as an expensive validation path; tests compare the two routes on
-small problems.
+densely otherwise.  theory_report is the one entry point for a (mu, eta)
+point; optimize_eta evaluates it over a grid.
 """
 
 from __future__ import annotations
@@ -26,13 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonUniformProfile
 from .graphs import Graph
 from .regularized import (
     RegularizedSolution,
     _long_term_bias,
-    _stacked_hessian,
-    _stacked_laplacian,
     require_stable,
     solve_regularized,
 )
@@ -43,44 +37,38 @@ from .tasks import TaskEnsemble
 class TheoryReport:
     """Closed-form steady-state predictions at one (mu, eta) point.
 
-    msd_total is the per-frequency sum; msd_per_frequency its summands
-    (length N, ordered like the graph eigenvalues).  mismatch_sq is the raw
-    squared norm ||W0_eta - W0||^2; msd_bar = msd_total + mismatch_sq / N +
-    bias_cross_term.  msd_uniform is None for non-uniform profiles.
+    msd_total is the deviation against the regularized solution, the
+    per-frequency sum; msd_per_frequency its summands (length N, ordered like
+    the graph eigenvalues).  msd_bar is the deviation against the
+    unregularized targets: msd_total + mismatch_sq / N + bias_cross_term, with
+    mismatch_sq the raw squared norm ||W0_eta - W0||^2 and the cross term
+    between the mismatch and the steady-state mean offset.  Large penalties
+    can push msd_bar above msd_noncoop when the targets are not smooth.
     """
 
     mu: float
     eta: float
     msd_total: float
     msd_per_frequency: np.ndarray
-    msd_noncoop: float | None = None
-    msd_bar: float | None = None
-    msd_uniform: float | None = None
-    mismatch_sq: float | None = None
-    bias_cross_term: float | None = None
+    msd_noncoop: float
+    msd_bar: float
+    mismatch_sq: float
+    bias_cross_term: float
 
 
 def _noise_covariances(ensemble: TaskEnsemble, reg: RegularizedSolution) -> np.ndarray:
-    """(N, M, M) stack of every node's noise_covariance, using W = d d' for
-    the mismatch d: R W R = (R d)(R d)' and Tr(R W) = d' R d."""
+    """Limiting gradient-noise covariance of every node, as an (N, M, M) stack.
+
+    For Gaussian regressors node k's covariance is R W R + R * Tr(R W) +
+    sigma_v^2 R, where W = d d' for the node's regularized-vs-own-target
+    mismatch d, so R W R = (R d)(R d)' and Tr(R W) = d' R d.  At eta = 0 the
+    mismatch vanishes and only the sigma_v^2 R floor remains.
+    """
     covs = ensemble.regressor_cov
     delta = ensemble.targets.blocks - reg.solution.blocks
     r_delta = np.einsum("kij,kj->ki", covs, delta)
     scale = np.einsum("ki,ki->k", delta, r_delta) + ensemble.noise_var
     return r_delta[:, :, None] * r_delta[:, None, :] + scale[:, None, None] * covs
-
-
-def noise_covariance(
-    ensemble: TaskEnsemble, agent: int, reg: RegularizedSolution
-) -> np.ndarray:
-    """Limiting gradient-noise covariance at node k's regularized point.
-
-    For Gaussian regressors the covariance has the closed form
-    R W R + R * Tr(R W) + sigma_v^2 R, where W is the outer product of the
-    node's regularized-vs-own-target mismatch.  At eta = 0 the mismatch
-    vanishes and only the sigma_v^2 R floor remains.
-    """
-    return _noise_covariances(ensemble, reg)[agent]
 
 
 def _frequency_weighted(g: Graph, stack: np.ndarray) -> np.ndarray:
@@ -97,37 +85,12 @@ def _trace_solve(mu: float, curvature: np.ndarray, noise: np.ndarray) -> np.ndar
 
 def _per_frequency_terms(
     ensemble: TaskEnsemble, g: Graph, mu: float, reg: RegularizedSolution
-) -> tuple[np.ndarray, float | None]:
-    """Summands of the steady-state predictor, one per graph frequency, and
-    for uniform profiles the exact uniform-profile sum (None otherwise).
-
-    Both read the same per-frequency noise mixtures; the uniform sum uses the
-    curvature R_u + eta*lambda_m*I (see msd_uniform).
-    """
+) -> np.ndarray:
+    """Summands of the steady-state predictor, one per graph frequency."""
     noise = _frequency_weighted(g, _noise_covariances(ensemble, reg))
     shift = reg.eta * g.eigenvalues[:, None, None] * np.eye(ensemble.dim)
     curvature = _frequency_weighted(g, ensemble.regressor_cov) + shift
-    uniform = None
-    if ensemble.is_uniform:
-        uniform = float(_trace_solve(mu, ensemble.regressor_cov[0] + shift, noise).sum())
-    return _trace_solve(mu, curvature, noise), uniform
-
-
-def msd_theory(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> TheoryReport:
-    """Leading-order steady-state deviation against the regularized solution.
-
-    Requires an admissible (mu, eta); returns the per-frequency terms and
-    their sum.  Use theory_report() for the fully populated report.
-    """
-    require_stable(ensemble, g, mu, eta)
-    reg = solve_regularized(ensemble, g, eta)
-    terms, _ = _per_frequency_terms(ensemble, g, mu, reg)
-    return TheoryReport(
-        mu=float(mu),
-        eta=float(eta),
-        msd_total=float(terms.sum()),
-        msd_per_frequency=terms,
-    )
+    return _trace_solve(mu, curvature, noise)
 
 
 def msd_noncoop(ensemble: TaskEnsemble, mu: float) -> float:
@@ -142,45 +105,16 @@ def msd_noncoop(ensemble: TaskEnsemble, mu: float) -> float:
     return mu / (2.0 * ensemble.n_agents) * total
 
 
-def msd_uniform(
-    ensemble: TaskEnsemble, g: Graph, mu: float, eta: float
-) -> tuple[float, np.ndarray]:
-    """Uniform-profile specialization and its per-frequency approximation.
-
-    With a common R_u the per-frequency curvature collapses to R_u +
-    eta*lambda_m*I, so the exact value coincides with the general predictor.
-    The second output approximates each frequency's term by
-    mu/(2N) * mean(sigma_v^2) * sum_q 1/(1 + eta*lambda_m/lambda_q(R_u)) —
-    the trace with the mismatch contribution to the noise covariance dropped —
-    which makes the monotone low-pass behavior in eta and lambda explicit.
-    """
-    if not ensemble.is_uniform:
-        raise NonUniformProfile("uniform-profile predictor needs a common R_u")
-    total = theory_report(ensemble, g, mu, eta).msd_uniform
-    n = ensemble.n_agents
-    lam_u = np.linalg.eigvalsh(ensemble.regressor_cov[0])
-    sigma_v = float(ensemble.noise_var.mean())
-    ratios = 1.0 / (1.0 + eta * g.eigenvalues[:, None] / lam_u[None, :])
-    per_lambda = mu / (2.0 * n) * sigma_v * ratios.sum(axis=1)
-    return total, per_lambda
-
-
-def msd_bar(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> float:
-    """Steady-state deviation measured against the unregularized targets.
-
-    Adds to the regularized-point deviation the squared solution mismatch
-    (per node) and the cross term between the mismatch and the steady-state
-    mean offset.  Large penalties can push this above the non-cooperative
-    baseline when the targets are not smooth.
-    """
-    return theory_report(ensemble, g, mu, eta).msd_bar
-
-
 def theory_report(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> TheoryReport:
-    """Fully populated report at one (mu, eta) point."""
+    """Steady-state predictions at one (mu, eta) point.
+
+    Checks the step-size conditions once (raising UnstableConfiguration when
+    any fails) and solves the regularized problem once; every field of the
+    report reads that one solution.
+    """
     require_stable(ensemble, g, mu, eta)
     reg = solve_regularized(ensemble, g, eta)
-    terms, uniform = _per_frequency_terms(ensemble, g, mu, reg)
+    terms = _per_frequency_terms(ensemble, g, mu, reg)
     msd_total = float(terms.sum())
     bias = _long_term_bias(ensemble, g, mu, reg)
     n = ensemble.n_agents
@@ -193,7 +127,6 @@ def theory_report(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> Th
         msd_per_frequency=terms,
         msd_noncoop=msd_noncoop(ensemble, mu),
         msd_bar=msd_total + reg.mismatch_sq / n + cross,
-        msd_uniform=uniform,
         mismatch_sq=reg.mismatch_sq,
         bias_cross_term=cross,
     )
@@ -232,42 +165,3 @@ def optimize_eta(
         eta_star=float(grid[best]), etas=grid, msd_bar_curve=values, reports=reports
     )
 
-
-def lyapunov_msd(
-    ensemble: TaskEnsemble,
-    g: Graph,
-    mu: float,
-    eta: float,
-    *,
-    tol: float = 1e-14,
-    max_terms: int = 1_000_000,
-) -> float:
-    """Steady-state deviation via the full matrix-series route.
-
-    Sums (1/N) * Tr(B^n Y B'^n) over n for the closed-loop matrix
-    B = (I - mu*eta*L)(I - mu*H) and the injected-noise covariance
-    Y = mu^2 (I - mu*eta*L) S (I - mu*eta*L), truncating once a term's trace
-    falls below tol.  Cost grows with (N*M)^3 per term — this is a validation
-    path for small problems, not a production predictor.
-    """
-    require_stable(ensemble, g, mu, eta)
-    n, m = ensemble.n_agents, ensemble.dim
-    reg = solve_regularized(ensemble, g, eta)
-    hess = _stacked_hessian(ensemble, at=reg.solution.blocks)
-    lap = _stacked_laplacian(g, m)
-    eye = np.eye(n * m)
-    combine = eye - mu * eta * lap
-    closed_loop = combine @ (eye - mu * hess)
-    noise = np.zeros((n * m, n * m))
-    for k, block in enumerate(_noise_covariances(ensemble, reg)):
-        noise[k * m : (k + 1) * m, k * m : (k + 1) * m] = block
-    injected = mu * mu * (combine @ noise @ combine)
-    term = injected
-    total = float(np.trace(term))
-    for _ in range(max_terms):
-        term = closed_loop @ term @ closed_loop.T
-        inc = float(np.trace(term))
-        total += inc
-        if inc < tol:
-            break
-    return total / n

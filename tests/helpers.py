@@ -3,10 +3,12 @@
 Everything in this file is deliberately written *without* calling the package
 code it is used to check.  The eigenvalue oracle goes through the
 characteristic polynomial, the regularized-solution oracles through plain batch
-gradient descent and through one explicit dense (NM) x (NM) solve, the
-noise-covariance oracle through brute-force sampling, the steady-state bias
-oracle through the noise-free recursion itself, and the replay oracle's
-sampler through its own Cholesky factors.
+gradient descent, through one explicit dense (NM) x (NM) solve and, for
+uniform profiles, through per-frequency filtering, the noise-covariance oracle
+through brute-force sampling, the steady-state bias oracle through the
+noise-free recursion itself, the steady-state MSD oracles through the full
+matrix series and through the uniform-profile per-frequency sum, and the
+replay oracle's sampler through its own Cholesky factors.
 Keep it that way: the moment an oracle shares a code path with the production
 routine, the corresponding test stops being evidence.
 """
@@ -142,6 +144,93 @@ def dense_regularized_solution(
     lap = np.kron(laplacian, np.eye(m))
     w = np.linalg.solve(hess + eta * lap, hess @ targets.reshape(-1))
     return w.reshape(n, m)
+
+
+def pareto_solution(covs: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Common vector minimizing sum_k J_k(w): the covariance-weighted mean
+    (sum_k R_k)^{-1} sum_k R_k w0_k, which every block of the regularized
+    solution approaches as the penalty grows without bound."""
+    return np.linalg.solve(covs.sum(axis=0), np.einsum("kij,kj->i", covs, targets))
+
+
+def spectral_filter_solution(ensemble, g, eta: float) -> np.ndarray:
+    """Graph-frequency blocks of the regularized solution for a uniform profile.
+
+    With a common covariance R_u the problem decouples across graph
+    frequencies: block m is (eta * lambda_m I + R_u)^{-1} R_u applied to block
+    m of the targets' transform.  Returns the (N, M) array of filtered blocks.
+    """
+    r_u = ensemble.regressor_cov[0]
+    target_bar = g.eigenvectors.T @ ensemble.targets.blocks
+    out = np.empty_like(target_bar)
+    for m, lam in enumerate(g.eigenvalues):
+        out[m] = np.linalg.solve(eta * lam * np.eye(r_u.shape[0]) + r_u, r_u @ target_bar[m])
+    return out
+
+
+def gradient_noise_covariances(ensemble, solution: np.ndarray) -> list[np.ndarray]:
+    """R W R + R Tr(R W) + sigma_v^2 R per node, with W = d d' for the
+    mismatch d between the node's target and its block of `solution`."""
+    out = []
+    for k in range(ensemble.n_agents):
+        r = ensemble.regressor_cov[k]
+        d = ensemble.targets.blocks[k] - solution[k]
+        rw = r @ np.outer(d, d)
+        out.append(rw @ r + r * float(np.trace(rw)) + ensemble.noise_var[k] * r)
+    return out
+
+
+def uniform_msd(ensemble, g, mu: float, eta: float) -> float:
+    """Uniform-profile steady-state MSD as a per-frequency sum.
+
+    With a common R_u the curvature at frequency m is R_u + eta * lambda_m I,
+    so the MSD is mu/(2N) * sum_m Tr((R_u + eta lambda_m I)^{-1} S_m) with
+    S_m = sum_k v_m(k)^2 R_s,k.  The gradient-noise covariances R_s,k are
+    evaluated at the dense_regularized_solution point.
+    """
+    n, m = ensemble.n_agents, ensemble.dim
+    covs, targets = ensemble.regressor_cov, ensemble.targets.blocks
+    w = dense_regularized_solution(covs, targets, g.laplacian, eta)
+    noise = gradient_noise_covariances(ensemble, w)
+    r_u = covs[0]
+    total = 0.0
+    for i, lam in enumerate(g.eigenvalues):
+        s_m = sum(g.eigenvectors[k, i] ** 2 * noise[k] for k in range(n))
+        total += float(np.trace(np.linalg.solve(r_u + eta * lam * np.eye(m), s_m)))
+    return mu / (2.0 * n) * total
+
+
+def lyapunov_msd(
+    ensemble, g, mu: float, eta: float, *, tol: float = 1e-14, max_terms: int = 1_000_000
+) -> float:
+    """Steady-state MSD via the full matrix series.
+
+    Sums (1/N) * Tr(B^n Y B'^n) over n for the closed-loop matrix
+    B = (I - mu*eta*L)(I - mu*H) and the injected-noise covariance
+    Y = mu^2 (I - mu*eta*L) S (I - mu*eta*L), with S = blockdiag{R_s,k} at the
+    dense_regularized_solution point, truncating once a term's trace falls
+    below tol.  Cost grows with (N*M)^3 per term, so keep N*M small.
+    """
+    n, m = ensemble.n_agents, ensemble.dim
+    covs, targets = ensemble.regressor_cov, ensemble.targets.blocks
+    w = dense_regularized_solution(covs, targets, g.laplacian, eta)
+    hess = np.zeros((n * m, n * m))
+    noise = np.zeros((n * m, n * m))
+    for k, r_s in enumerate(gradient_noise_covariances(ensemble, w)):
+        hess[k * m : (k + 1) * m, k * m : (k + 1) * m] = covs[k]
+        noise[k * m : (k + 1) * m, k * m : (k + 1) * m] = r_s
+    eye = np.eye(n * m)
+    combine = eye - mu * eta * np.kron(g.laplacian, np.eye(m))
+    closed_loop = combine @ (eye - mu * hess)
+    term = mu * mu * (combine @ noise @ combine)
+    total = float(np.trace(term))
+    for _ in range(max_terms):
+        term = closed_loop @ term @ closed_loop.T
+        inc = float(np.trace(term))
+        total += inc
+        if inc < tol:
+            return total / n
+    raise RuntimeError(f"matrix series did not converge in {max_terms} terms")
 
 
 def noise_free_recursion(

@@ -13,13 +13,18 @@ import numpy as np
 import pytest
 
 import mtdiff as mt
+from mtdiff.theory import _noise_covariances
 
 from helpers import (
     batch_gd_minimize,
     dense_quadratic_smoothness,
     empirical_noise_covariance,
+    gradient_noise_covariances,
+    lyapunov_msd,
     make_random_spd,
+    pareto_solution,
     random_connected_adjacency,
+    uniform_msd,
 )
 
 CRITERIA = {
@@ -63,7 +68,7 @@ def test_criterion_1_theory_vs_simulation(het_ensemble, bench_graph, mu3_sims):
     sims, elapsed = mu3_sims
     gaps = {}
     for eta in SIM_ETAS:
-        theory = mt.msd_theory(het_ensemble, bench_graph, 1e-3, eta).msd_total
+        theory = mt.theory_report(het_ensemble, bench_graph, 1e-3, eta).msd_total
         sim = sims[eta].steady_msd_vs_reg
         gaps[eta] = abs(_db(sim) - _db(theory))
     ok = all(g <= 1.0 for g in gaps.values())
@@ -132,7 +137,7 @@ def test_criterion_4_multitask_benefit(smooth_targets, bench_graph):
     for eta in (0.0, sweep.eta_star, float(grid[-1])):
         cfg = mt.SimConfig(mu=mu, eta=eta, n_runs=200, seed=2024)
         res = mt.monte_carlo(ens, bench_graph, cfg, jobs=JOBS)
-        theory = mt.msd_bar(ens, bench_graph, mu, eta)
+        theory = mt.theory_report(ens, bench_graph, mu, eta).msd_bar
         checks[eta] = (res.steady_msd_vs_target, theory)
     sim_time = time.perf_counter() - t1
 
@@ -206,17 +211,18 @@ def test_criterion_6_formula_consistency(het_ensemble, uni_ensemble, bench_graph
     )
     worst_a = 0.0
     for ens in (common, scalar_u):
-        got = mt.msd_theory(ens, bench_graph, mu, 0.0).msd_total
+        got = mt.theory_report(ens, bench_graph, mu, 0.0).msd_total
         want = mt.msd_noncoop(ens, mu)
         worst_a = max(worst_a, abs(got - want) / want)
     oks.append(worst_a < 1e-10)
     parts.append(f"eta=0 vs noncoop rel {worst_a:.1e}")
 
-    # (b) uniform-profile specialization agrees with the general predictor.
+    # (b) the general predictor on a uniform profile agrees with the
+    # uniform-profile per-frequency sum.
     worst_b = 0.0
     for eta in (0.0, 1.0, 5.0, 20.0):
-        exact, _ = mt.msd_uniform(uni_ensemble, bench_graph, mu, eta)
-        general = mt.msd_theory(uni_ensemble, bench_graph, mu, eta).msd_total
+        exact = uniform_msd(uni_ensemble, bench_graph, mu, eta)
+        general = mt.theory_report(uni_ensemble, bench_graph, mu, eta).msd_total
         worst_b = max(worst_b, abs(exact - general) / general)
     oks.append(worst_b < 1e-12)
     parts.append(f"uniform vs general rel {worst_b:.1e}")
@@ -224,18 +230,11 @@ def test_criterion_6_formula_consistency(het_ensemble, uni_ensemble, bench_graph
     # (c) eta -> infinity approaches the single-task network estimating the
     # Pareto point w*: MSD = mu/(2N) Tr((sum H_k)^-1 (sum R_sk at w*)).
     mu_c, eta_c = 1e-10, 1e9  # mu*eta = 0.1 keeps the pair admissible
-    w_star = mt.pareto_solution(het_ensemble)
-    h_sum = np.zeros((5, 5))
-    rs_sum = np.zeros((5, 5))
-    for k in range(15):
-        r = het_ensemble.regressor_cov[k]
-        delta = het_ensemble.targets.block(k) - w_star
-        w_mis = np.outer(delta, delta)
-        rw = r @ w_mis
-        h_sum += r
-        rs_sum += rw @ r + r * float(np.trace(rw)) + het_ensemble.noise_var[k] * r
+    w_star = pareto_solution(het_ensemble.regressor_cov, het_ensemble.targets.blocks)
+    h_sum = het_ensemble.regressor_cov.sum(axis=0)
+    rs_sum = sum(gradient_noise_covariances(het_ensemble, np.broadcast_to(w_star, (15, 5))))
     single_task = mu_c / (2 * 15) * float(np.trace(np.linalg.solve(h_sum, rs_sum)))
-    got_c = mt.msd_theory(het_ensemble, bench_graph, mu_c, eta_c).msd_total
+    got_c = mt.theory_report(het_ensemble, bench_graph, mu_c, eta_c).msd_total
     rel_c = abs(got_c - single_task) / single_task
     oks.append(rel_c < 0.01)
     parts.append(f"single-task limit rel {rel_c:.1e}")
@@ -265,8 +264,8 @@ def test_criterion_6_formula_consistency(het_ensemble, uni_ensemble, bench_graph
             targets=tgt, regressor_cov=covs, noise_var=r2.uniform(0.05, 0.2, n)
         )
         for eta in (0.0, 2.0):
-            series = mt.lyapunov_msd(ens, g, mu, eta)
-            closed = mt.msd_theory(ens, g, mu, eta).msd_total
+            series = lyapunov_msd(ens, g, mu, eta)
+            closed = mt.theory_report(ens, g, mu, eta).msd_total
             worst_d = max(worst_d, abs(series - closed) / series)
     oks.append(worst_d <= 0.02)
     parts.append(f"series route rel {worst_d:.1e}")
@@ -292,7 +291,7 @@ def test_criterion_7_noise_covariance_oracle():
         eta = float(rng.uniform(1.0, 5.0))
         reg = mt.solve_regularized(ens, g, eta)
         k = int(rng.integers(0, n))
-        closed = mt.noise_covariance(ens, k, reg)
+        closed = _noise_covariances(ens, reg)[k]
         sampled = empirical_noise_covariance(
             ens.regressor_cov[k],
             ens.targets.block(k),

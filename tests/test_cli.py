@@ -272,8 +272,14 @@ class TestErrorPaths:
             ("1.0 0.1\n" * 4 + "1.0 nan\n", RING),
             ("1.0 0.1\n" * 4 + "1.0 -1\n", RING),
             ("1.0 0.1\n" * 5, RING.replace("0.2", "nan", 1)),
+            ("1.0 0.1\n" * 5, RING.replace("0.2", "1e308")),
         ],
-        ids=["nan-noise-variance", "negative-noise-variance", "nan-edge-weight"],
+        ids=[
+            "nan-noise-variance",
+            "negative-noise-variance",
+            "nan-edge-weight",
+            "overflowing-edge-weight",
+        ],
     )
     def test_bad_numeric_input_exits_2(self, tmp_path, profile, edges):
         cfg = _write_config(

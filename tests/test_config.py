@@ -82,6 +82,7 @@ def test_syntax_errors_carry_line_numbers(text, fragment):
         "graph.source = magic",
         "graph.source = edges",  # edges without a path
         "graph.n = 1",
+        "graph.max_degree = -1",  # only 0 disables the cap
         "ensemble.dim = 0",
         "ensemble.target = mystery",
         "ensemble.tau = 1, 2",  # wrong length for dim = 5

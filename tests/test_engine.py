@@ -193,7 +193,7 @@ class TestResultContract:
 class TestConfigAndStability:
     def test_default_horizon_formula(self, het_ensemble):
         lam_min = min(
-            np.linalg.eigvalsh(het_ensemble.hessian(k)).min() for k in range(15)
+            np.linalg.eigvalsh(het_ensemble.regressor_cov[k]).min() for k in range(15)
         )
         mu = 1e-3
         assert engine.default_horizon(het_ensemble, mu) == math.ceil(

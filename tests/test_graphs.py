@@ -78,6 +78,19 @@ class TestBuildGraph:
         with pytest.raises(mt.Disconnected):
             mt.build_graph(a)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: mt.random_geometric_graph(15, 0.35, weight=5e307, seed=9, max_degree=5),
+            lambda: mt.random_geometric_graph(15, 0.35, weight=1e308, seed=9, max_degree=5),
+            lambda: mt.build_graph(1.7e308 * (1.0 - np.eye(2))),
+        ],
+        ids=["degree-overflow", "symmetrize-overflow", "spectrum-overflow"],
+    )
+    def test_rejects_overflowing_weights(self, make):
+        with pytest.raises(mt.GraphError, match="overflow"):
+            make()
+
     def test_connectivity_threshold_is_documented_constant(self):
         assert CONNECTIVITY_TOLERANCE == 1e-9
 

@@ -89,8 +89,10 @@ class TestModel:
         r = het_ensemble.regressor_cov[k]
         w0 = het_ensemble.targets.block(k)
         w = w0 + np.array([1.0, -1.0, 0.5, 0.0, 2.0])
-        assert np.allclose(het_ensemble.hessian(k, w), r)
         grad = true_gradient(het_ensemble, k, w)
+        # the curvature is R_uk: the gradient moves by R_uk e_j along each e_j
+        steps = [true_gradient(het_ensemble, k, w + e) - grad for e in np.eye(5)]
+        assert np.allclose(np.stack(steps, axis=1), r, atol=1e-14)
         assert np.allclose(grad, r @ (w - w0), atol=1e-14)
         assert np.allclose(true_gradient(het_ensemble, k, w0), 0.0, atol=1e-14)
 
@@ -147,4 +149,4 @@ class TestModel:
             targets=tgt, regressor_cov=covs, noise_var=rng.uniform(0.01, 1.0, n)
         )
         assert ens.n_agents == n and ens.dim == m
-        assert ens.hessian(0, tgt.block(0)).shape == (m, m)
+        assert ens.regressor_cov.shape == (n, m, m)

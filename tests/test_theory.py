@@ -1,4 +1,4 @@
-"""Steady-state predictors: closed forms, uniform specialization, eta search."""
+"""Steady-state predictors: theory_report, its oracles, eta search."""
 
 from __future__ import annotations
 
@@ -6,33 +6,29 @@ import numpy as np
 import pytest
 
 import mtdiff as mt
+from mtdiff.theory import _noise_covariances
 
-from helpers import empirical_noise_covariance, make_random_spd, random_connected_adjacency
-
-
-def _small_problem(seed: int, n: int = 4, m: int = 2):
-    rng = np.random.default_rng(seed)
-    g = mt.build_graph(random_connected_adjacency(rng, n, weight_range=(0.1, 0.5)))
-    targets = mt.StackedSignal.from_blocks(rng.standard_normal((n, m)))
-    covs = np.stack([make_random_spd(rng, m) for _ in range(n)])
-    ens = mt.TaskEnsemble(
-        targets=targets, regressor_cov=covs, noise_var=rng.uniform(0.05, 0.3, n)
-    )
-    return ens, g
+from helpers import (
+    empirical_noise_covariance,
+    lyapunov_msd,
+    make_random_spd,
+    random_connected_adjacency,
+    uniform_msd,
+)
 
 
 class TestNoiseCovariance:
     def test_floor_at_eta_zero(self, het_ensemble, bench_graph):
         reg = mt.solve_regularized(het_ensemble, bench_graph, 0.0)
         for k in (0, 7, 14):
-            got = mt.noise_covariance(het_ensemble, k, reg)
+            got = _noise_covariances(het_ensemble, reg)[k]
             want = het_ensemble.noise_var[k] * het_ensemble.regressor_cov[k]
             assert np.allclose(got, want, rtol=0, atol=1e-15)
 
     def test_matches_sampled_covariance(self, het_ensemble, bench_graph):
         reg = mt.solve_regularized(het_ensemble, bench_graph, 5.0)
         k = 3
-        got = mt.noise_covariance(het_ensemble, k, reg)
+        got = _noise_covariances(het_ensemble, reg)[k]
         emp = empirical_noise_covariance(
             het_ensemble.regressor_cov[k],
             het_ensemble.targets.block(k),
@@ -46,15 +42,14 @@ class TestNoiseCovariance:
 
     def test_symmetric_positive_definite(self, het_ensemble, bench_graph):
         reg = mt.solve_regularized(het_ensemble, bench_graph, 20.0)
-        for k in range(15):
-            r_s = mt.noise_covariance(het_ensemble, k, reg)
+        for r_s in _noise_covariances(het_ensemble, reg):
             assert np.allclose(r_s, r_s.T, atol=1e-14)
             assert np.linalg.eigvalsh(r_s).min() > 0.0
 
 
 class TestPredictors:
     def test_per_frequency_terms_sum_to_total(self, het_ensemble, bench_graph):
-        rep = mt.msd_theory(het_ensemble, bench_graph, 1e-3, 5.0)
+        rep = mt.theory_report(het_ensemble, bench_graph, 1e-3, 5.0)
         assert rep.msd_per_frequency.shape == (15,)
         assert np.all(rep.msd_per_frequency > 0.0)
         assert rep.msd_total == float(rep.msd_per_frequency.sum())
@@ -67,62 +62,39 @@ class TestPredictors:
 
     def test_uniform_specialization_matches_general(self, uni_ensemble, bench_graph):
         for eta in (0.0, 1.0, 5.0, 20.0):
-            exact, _ = mt.msd_uniform(uni_ensemble, bench_graph, 1e-3, eta)
-            general = mt.msd_theory(uni_ensemble, bench_graph, 1e-3, eta)
+            exact = uniform_msd(uni_ensemble, bench_graph, 1e-3, eta)
+            general = mt.theory_report(uni_ensemble, bench_graph, 1e-3, eta)
             assert abs(exact - general.msd_total) < 1e-12 * general.msd_total + 1e-30
-
-    def test_uniform_per_lambda_shape(self, uni_ensemble, bench_graph):
-        mu = 1e-3
-        _, per_lambda = mt.msd_uniform(uni_ensemble, bench_graph, mu, 5.0)
-        assert per_lambda.shape == (15,)
-        # approximation decays with the graph frequency (eigenvalues ascend)
-        assert np.all(np.diff(per_lambda) <= 1e-18)
-        # at eta = 0 every frequency contributes the flat floor mu*M*sigma_v^2/(2N)
-        _, flat = mt.msd_uniform(uni_ensemble, bench_graph, mu, 0.0)
-        assert np.allclose(flat, mu * 5 * 0.1 / (2 * 15), rtol=1e-12)
-
-    def test_uniform_requires_common_covariance(self, het_ensemble, bench_graph):
-        with pytest.raises(mt.NonUniformProfile):
-            mt.msd_uniform(het_ensemble, bench_graph, 1e-3, 1.0)
 
     def test_cooperation_helps_at_the_regularized_point(
         self, uni_ensemble, bench_graph
     ):
         """Measured against its own solution, coupling only filters noise."""
         mu = 1e-3
-        base = mt.msd_theory(uni_ensemble, bench_graph, mu, 0.0).msd_total
+        base = mt.theory_report(uni_ensemble, bench_graph, mu, 0.0).msd_total
         for eta in (1.0, 5.0, 20.0):
-            assert mt.msd_theory(uni_ensemble, bench_graph, mu, eta).msd_total < base
+            assert mt.theory_report(uni_ensemble, bench_graph, mu, eta).msd_total < base
 
     def test_rejects_unstable_point(self, het_ensemble, bench_graph):
         with pytest.raises(mt.UnstableConfiguration):
-            mt.msd_theory(het_ensemble, bench_graph, 1.0, 10.0)
+            mt.theory_report(het_ensemble, bench_graph, 1.0, 10.0)
 
 
 class TestMsdBar:
     def test_equals_msd_total_at_eta_zero(self, het_ensemble, bench_graph):
-        mu = 1e-3
-        bar = mt.msd_bar(het_ensemble, bench_graph, mu, 0.0)
-        total = mt.msd_theory(het_ensemble, bench_graph, mu, 0.0).msd_total
-        assert bar == pytest.approx(total, rel=1e-14)
+        rep = mt.theory_report(het_ensemble, bench_graph, 1e-3, 0.0)
+        assert rep.mismatch_sq == 0.0 and rep.bias_cross_term == 0.0
+        assert rep.msd_bar == pytest.approx(rep.msd_total, rel=1e-14)
 
     def test_report_identity(self, het_ensemble, bench_graph):
         rep = mt.theory_report(het_ensemble, bench_graph, 1e-3, 5.0)
         assert rep.msd_bar == pytest.approx(
             rep.msd_total + rep.mismatch_sq / 15 + rep.bias_cross_term, rel=1e-12
         )
-        assert rep.msd_bar == pytest.approx(
-            mt.msd_bar(het_ensemble, bench_graph, 1e-3, 5.0), rel=1e-12
-        )
         assert rep.msd_noncoop == pytest.approx(
             mt.msd_noncoop(het_ensemble, 1e-3), rel=1e-14
         )
-        assert rep.msd_uniform is None  # heterogeneous profile
         assert rep.mismatch_sq > 0.0
-
-    def test_report_uniform_field(self, uni_ensemble, bench_graph):
-        rep = mt.theory_report(uni_ensemble, bench_graph, 1e-3, 2.0)
-        assert rep.msd_uniform == pytest.approx(rep.msd_total, rel=1e-10)
 
 
 class TestOptimizeEta:
@@ -131,7 +103,7 @@ class TestOptimizeEta:
         assert sweep.eta_star == 0.0
         assert sweep.msd_bar_curve.shape == (1,)
         assert sweep.msd_bar_curve[0] == pytest.approx(
-            mt.msd_bar(het_ensemble, bench_graph, 1e-3, 0.0), rel=1e-14
+            mt.theory_report(het_ensemble, bench_graph, 1e-3, 0.0).msd_bar, rel=1e-14
         )
 
     def test_curve_matches_pointwise_evaluation(self, het_ensemble, bench_graph):
@@ -140,7 +112,8 @@ class TestOptimizeEta:
         assert np.array_equal(sweep.etas, grid)
         for eta, val in zip(grid, sweep.msd_bar_curve):
             assert val == pytest.approx(
-                mt.msd_bar(het_ensemble, bench_graph, 1e-3, float(eta)), rel=1e-14
+                mt.theory_report(het_ensemble, bench_graph, 1e-3, float(eta)).msd_bar,
+                rel=1e-14,
             )
         assert sweep.eta_star == grid[np.argmin(sweep.msd_bar_curve)]
 
@@ -183,10 +156,6 @@ class TestOneSolvePerPoint:
         mt.theory_report(uni_ensemble, bench_graph, 1e-3, 5.0)
         assert calls == {"solve_regularized": 1, "check_stability": 1}
 
-    def test_msd_bar(self, calls, het_ensemble, bench_graph):
-        mt.msd_bar(het_ensemble, bench_graph, 1e-3, 5.0)
-        assert calls == {"solve_regularized": 1, "check_stability": 1}
-
     def test_optimize_eta_keeps_its_reports(self, calls, het_ensemble, bench_graph):
         grid = np.array([0.0, 1.0, 5.0])
         sweep = mt.optimize_eta(het_ensemble, bench_graph, 1e-3, grid)
@@ -197,7 +166,7 @@ class TestOneSolvePerPoint:
 
 def _uniform_cov_problem(seed: int, n: int = 4, m: int = 2):
     """Common regressor covariance: the per-frequency predictor is exact up to
-    the O(mu) finite-step correction, so the series route must agree tightly."""
+    the O(mu) finite-step correction, so the series oracle must agree tightly."""
     rng = np.random.default_rng(seed)
     g = mt.build_graph(random_connected_adjacency(rng, n, weight_range=(0.1, 0.5)))
     targets = mt.StackedSignal.from_blocks(rng.standard_normal((n, m)))
@@ -228,23 +197,18 @@ class TestLyapunovRoute:
     def test_exact_under_common_covariance(self, eta):
         ens, g = _uniform_cov_problem(5)
         mu = 5e-4
-        series = mt.lyapunov_msd(ens, g, mu, eta)
-        closed = mt.msd_theory(ens, g, mu, eta).msd_total
+        series = lyapunov_msd(ens, g, mu, eta)
+        closed = mt.theory_report(ens, g, mu, eta).msd_total
         assert series == pytest.approx(closed, rel=2e-3)
 
     @pytest.mark.parametrize("eta", [0.0, 2.0])
     def test_close_under_mild_heterogeneity(self, eta):
         ens, g = _mild_scalar_problem(11)
-        series = mt.lyapunov_msd(ens, g, 1e-3, eta)
-        closed = mt.msd_theory(ens, g, 1e-3, eta).msd_total
+        series = lyapunov_msd(ens, g, 1e-3, eta)
+        closed = mt.theory_report(ens, g, 1e-3, eta).msd_total
         assert series == pytest.approx(closed, rel=0.02)
 
     def test_positive_and_converges(self):
         ens, g = _uniform_cov_problem(8, n=3, m=2)
-        val = mt.lyapunov_msd(ens, g, 1e-3, 0.5)
+        val = lyapunov_msd(ens, g, 1e-3, 0.5)
         assert np.isfinite(val) and val > 0.0
-
-    def test_rejects_unstable(self):
-        ens, g = _small_problem(5)
-        with pytest.raises(mt.UnstableConfiguration):
-            mt.lyapunov_msd(ens, g, 5.0, 0.0)
