@@ -21,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     Disconnected,
     GraphError,
+    InvalidArgument,
     MtdiffError,
     NegativeWeight,
     NonUniformProfile,
@@ -72,7 +73,7 @@ __version__ = "0.1.0"
 MODULE_VERSIONS = {
     "graphs": 1,
     "tasks": 1,
-    "regularized": 2,
+    "regularized": 3,
     "engine": 2,
     "theory": 2,
 }
@@ -85,6 +86,7 @@ __all__ = [
     "EtaSweep",
     "Graph",
     "GraphError",
+    "InvalidArgument",
     "MODULE_VERSIONS",
     "MtdiffError",
     "NegativeWeight",

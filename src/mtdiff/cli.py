@@ -75,10 +75,6 @@ def _write_csv(
             fh.write(",".join(_cell(v) for v in row) + "\n")
 
 
-def _write_svg(path: Path, document: str) -> None:
-    path.write_text(document)
-
-
 def _db(x: float) -> str:
     return f"{10.0 * math.log10(x):.2f} dB" if x > 0.0 else "-inf dB"
 
@@ -156,7 +152,7 @@ def cmd_theory(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
             y_db=cfg.output.db,
             metadata=meta,
         )
-        _write_svg(out / "theory.svg", doc)
+        (out / "theory.svg").write_text(doc)
     for r in reports:
         print(
             f"eta={r.eta:g}  msd={r.msd_total:.6e} ({_db(r.msd_total)})  "
@@ -193,7 +189,7 @@ def cmd_simulate(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
             y_db=cfg.output.db,
             metadata=meta,
         )
-        _write_svg(out / "learning_curve.svg", doc)
+        (out / "learning_curve.svg").write_text(doc)
     print(
         f"steady msd (vs reg): sim={_db(res.steady_msd_vs_reg)}  "
         f"theory={_db(report.msd_total)}"
@@ -269,15 +265,12 @@ def cmd_bias_scan(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
             y_db=True,
             metadata=meta,
         )
-        _write_svg(out / "bias_scan.svg", doc)
+        (out / "bias_scan.svg").write_text(doc)
 
 
 def cmd_sweep_eta(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
     mu = _single(cfg.algo.mu, "algo.mu")
-    grid = np.asarray(cfg.algo.eta, dtype=float)
-    if grid.size == 0 or grid[0] != 0.0 or np.any(np.diff(grid) <= 0.0):
-        raise ConfigError("sweep-eta needs an ascending algo.eta grid starting at 0")
-    sweep = optimize_eta(ens, g, mu, grid)
+    sweep = optimize_eta(ens, g, mu, cfg.algo.eta)
 
     out = _out_dir(cfg)
     meta = _metadata(cfg, "sweep-eta") + [f"eta-star = {sweep.eta_star:g}"]
@@ -295,13 +288,13 @@ def cmd_sweep_eta(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
 
     spot: list[tuple[float, float]] = []
     if cfg.sweep.spot_check:
-        check_etas = sorted({0.0, sweep.eta_star, float(grid[-1])})
+        check_etas = sorted({0.0, sweep.eta_star, float(sweep.etas[-1])})
         for eta in check_etas:
             res = monte_carlo(ens, g, _sim_config(cfg, mu, eta), jobs=cfg.algo.jobs)
             spot.append((eta, res.steady_msd_vs_target))
         if "csv" in cfg.output.formats:
             spot_rows = [
-                [eta, sim_val, float(np.interp(eta, grid, sweep.msd_bar_curve))]
+                [eta, sim_val, float(np.interp(eta, sweep.etas, sweep.msd_bar_curve))]
                 for eta, sim_val in spot
             ]
             _write_csv(
@@ -312,7 +305,7 @@ def cmd_sweep_eta(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
             )
 
     if "svg" in cfg.output.formats:
-        series = [Series("msd_bar (theory)", grid, sweep.msd_bar_curve)]
+        series = [Series("msd_bar (theory)", sweep.etas, sweep.msd_bar_curve)]
         series.append(
             Series("optimum", [sweep.eta_star], [float(sweep.msd_bar_curve.min())], markers=True)
         )
@@ -328,7 +321,7 @@ def cmd_sweep_eta(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
             y_db=cfg.output.db,
             metadata=meta,
         )
-        _write_svg(out / "sweep.svg", doc)
+        (out / "sweep.svg").write_text(doc)
 
     base = float(sweep.msd_bar_curve[0])
     best = float(sweep.msd_bar_curve.min())
@@ -391,7 +384,7 @@ def cmd_filter_response(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> N
             y_label="gain",
             metadata=meta,
         )
-        _write_svg(out / "filter.svg", doc)
+        (out / "filter.svg").write_text(doc)
     for eta in cfg.algo.eta:
         worst = gain(eta, float(lam_grid[-1]))
         print(f"eta={eta:g}: gain at lambda={lam_grid[-1]:g} is {worst:.4f}")

@@ -281,8 +281,10 @@ def _validate(sections: dict[str, Any]) -> None:
     bad = set(o.formats) - {"csv", "svg"}
     if bad:
         raise ConfigError(f"output.formats may only contain csv, svg: {sorted(bad)}")
-    if flt.lambda_max <= 0.0 or flt.lambda_points < 2:
-        raise ConfigError("filter.lambda_max > 0 and filter.lambda_points >= 2 required")
+    if not (math.isfinite(flt.lambda_max) and flt.lambda_max > 0.0) or flt.lambda_points < 2:
+        raise ConfigError(
+            "filter.lambda_max must be finite and > 0, filter.lambda_points >= 2"
+        )
 
 
 def build_graph(cfg: ExperimentConfig) -> Graph:

@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericalDivergence
+from .errors import DimensionMismatch, InvalidArgument, NumericalDivergence
 from .graphs import Graph
 from .regularized import require_stable, solve_regularized
 from .tasks import TaskEnsemble
@@ -84,20 +84,20 @@ class SimConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.mu) and self.mu > 0.0):
-            raise ValueError("mu must be finite and positive")
+            raise InvalidArgument("mu must be finite and positive")
         if not (math.isfinite(self.eta) and self.eta >= 0.0):
-            raise ValueError("eta must be finite and nonnegative")
+            raise InvalidArgument("eta must be finite and nonnegative")
         for name in ("n_iters", "n_runs", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
+                raise InvalidArgument(f"{name} must be an integer")
         if self.n_iters < 0 or self.n_runs < 1:
-            raise ValueError("n_iters must be >= 0 and n_runs >= 1")
+            raise InvalidArgument("n_iters must be >= 0 and n_runs >= 1")
         if not (0.0 < self.steady_window_frac <= 1.0):
-            raise ValueError("steady_window_frac must lie in (0, 1]")
+            raise InvalidArgument("steady_window_frac must lie in (0, 1]")
         if self.seed < 0 or self.seed > 0xFFFFFFFFFFFFFFFF:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+            raise InvalidArgument("seed must fit in an unsigned 64-bit integer")
         if self.init is not None and not np.all(np.isfinite(self.init)):
-            raise ValueError("init must be finite")
+            raise InvalidArgument("init must be finite")
 
     def horizon(self, ensemble: TaskEnsemble) -> int:
         return self.n_iters if self.n_iters > 0 else default_horizon(ensemble, self.mu)
@@ -251,7 +251,7 @@ def run_single(
     """Simulate one run and return its (unaveraged) error trajectories."""
     require_stable(ensemble, g, cfg.mu, cfg.eta)
     if run_index < 0:
-        raise ValueError("run_index must be nonnegative")
+        raise InvalidArgument("run_index must be nonnegative")
     prob = _Problem(ensemble, g, cfg)
     horizon = cfg.horizon(ensemble)
     window_start = horizon - cfg.window_length(horizon)

@@ -31,6 +31,10 @@ class DimensionMismatch(MtdiffError):
     pass
 
 
+class InvalidArgument(MtdiffError, ValueError):
+    """An argument outside its admissible range (a ValueError as well)."""
+
+
 class NonUniformProfile(MtdiffError):
     """Raised by operations that require a common regressor covariance."""
 

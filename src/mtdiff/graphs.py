@@ -66,12 +66,6 @@ class StackedSignal:
         """View of the signal as an (n_agents, block_dim) array."""
         return self.values.reshape(self.n_agents, self.block_dim)
 
-    def block(self, k: int) -> np.ndarray:
-        return self.blocks[k]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
 
 @dataclass(frozen=True, eq=False)
 class Graph:

@@ -7,13 +7,14 @@ gives the steady-state offset that the adaptive recursion carries at finite
 step-size.  The step-size stability checks, which the engine and the theory
 module run first, live here too.
 
-Two routes solve the (NM)-dimensional systems.  When every R_uk is diagonal
-(the scalar, varying and uniform profiles, and any diagonal covariance read
-from a config) nothing couples the M components, so the solution and the bias
-each come from M N x N systems solved as one stacked batch.  Any other
-covariance takes the dense route through (NM) x (NM) matrices.  The choice
-reads only the covariances: a stack equal to its own diagonal takes the
-per-component route.
+The smoothness penalty acts on each of the M components alike, so only the
+covariances R_uk couple one component to another.  Both (NM)-dimensional
+systems are therefore written once, in component-major order, over G groups
+of s coupled components (G * s = M) and solved as one (G, sN, sN) stack.  When
+every R_uk is diagonal (the scalar, varying and uniform profiles, and any
+diagonal covariance read from a config) each component is its own group and
+the stack holds M N x N systems; any other covariance makes one group of all M
+components and one (NM) x (NM) system.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularSystem, UnstableConfiguration
+from .errors import InvalidArgument, SingularSystem, UnstableConfiguration
 from .graphs import Graph, StackedSignal, gft
 from .tasks import TaskEnsemble
 
@@ -135,27 +136,18 @@ def require_stable(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> N
         )
 
 
-def _diagonal_covariances(ensemble: TaskEnsemble) -> np.ndarray | None:
-    """(M, N) array of the covariance diagonals, row j holding R_uk[j, j] for
-    every node k, when every R_uk is exactly diagonal; None otherwise."""
+def _coupled_covariances(ensemble: TaskEnsemble) -> np.ndarray:
+    """The covariances over G groups of s coupled components, as a (G, s, s, N)
+    stack with entry [g, k, l, a] = R_ua[g*s + k, g*s + l].
+
+    s = 1 when every R_uk is exactly diagonal, else s = M (one group).  The
+    stack is C-contiguous, so the system matrices built from it are too.
+    """
     covs = ensemble.regressor_cov
     diag = np.diagonal(covs, axis1=1, axis2=2)
     if np.array_equal(covs, diag[:, :, None] * np.eye(ensemble.dim)):
-        return diag.T.copy()
-    return None
-
-
-def _stacked_hessian(ensemble: TaskEnsemble) -> np.ndarray:
-    """Block-diagonal curvature blockdiag{R_uk} of the quadratic costs."""
-    n, m = ensemble.n_agents, ensemble.dim
-    big = np.zeros((n * m, n * m))
-    for k, cov in enumerate(ensemble.regressor_cov):
-        big[k * m : (k + 1) * m, k * m : (k + 1) * m] = cov
-    return big
-
-
-def _stacked_laplacian(g: Graph, m: int) -> np.ndarray:
-    return np.kron(g.laplacian, np.eye(m))
+        return np.ascontiguousarray(diag.T[:, None, None, :])
+    return np.ascontiguousarray(covs.transpose(1, 2, 0)[None])
 
 
 def _spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -184,24 +176,22 @@ def solve_regularized(ensemble: TaskEnsemble, g: Graph, eta: float) -> Regulariz
     is pulled toward the common consensus solution.
     """
     if eta < 0.0:
-        raise ValueError("eta must be nonnegative")
+        raise InvalidArgument("eta must be nonnegative")
     n, m = ensemble.n_agents, ensemble.dim
     targets = ensemble.targets.values
-    diag = _diagonal_covariances(ensemble)
     if eta == 0.0:
         sol = StackedSignal(n, m, targets)
-    elif diag is None:
-        hess = _stacked_hessian(ensemble)
-        mat = hess + eta * _stacked_laplacian(g, m)
-        w = _spd_solve(mat, (hess @ targets)[:, None])[:, 0]
-        sol = StackedSignal(n, m, w)
-    else:  # component j: (eta L + diag(R[:, j, j])) w_j = diag(R[:, j, j]) w0_j
-        mats = np.broadcast_to(eta * g.laplacian, (m, n, n)).copy()
-        nodes = np.arange(n)
-        mats[:, nodes, nodes] += diag
-        rhs = diag * ensemble.targets.blocks.T
-        w = _spd_solve(mats, rhs[:, :, None])[:, :, 0]
-        sol = StackedSignal.from_blocks(w.T)
+    else:  # group g: (I_s kron eta L + H_g) w_g = H_g w0_g
+        cov = _coupled_covariances(ensemble)
+        groups, s = cov.shape[:2]
+        mats = np.zeros((groups, s, n, s, n))
+        # einsum with a repeated index returns a writable view of that diagonal
+        np.einsum("gkakb->gkab", mats)[...] = eta * g.laplacian
+        np.einsum("gkala->gkla", mats)[...] += cov
+        w0 = ensemble.targets.blocks.T.reshape(groups, s, n)
+        rhs = np.einsum("gkla,gla->gka", cov, w0).reshape(groups, s * n, 1)
+        w = _spd_solve(mats.reshape(groups, s * n, s * n), rhs)
+        sol = StackedSignal.from_blocks(w.reshape(m, n).T)
     mismatch = sol.values - targets
     return RegularizedSolution(
         eta=float(eta),
@@ -235,21 +225,18 @@ def _long_term_bias(
     if eta == 0.0:
         bias = np.zeros(n * m)
         return BiasReport(mu=float(mu), eta=0.0, bias_vector=bias, bias_sq_norm=0.0)
-    diag = _diagonal_covariances(ensemble)
-    if diag is None:
-        lap = _stacked_laplacian(g, m)
-        hess = _stacked_hessian(ensemble)
-        b_eta = (np.eye(n * m) - mu * eta * lap) @ (np.eye(n * m) - mu * hess)
-        rhs = (mu * eta) ** 2 * (lap @ (lap @ reg.solution.values))
-        bias = np.linalg.solve(np.eye(n * m) - b_eta, rhs)
-    else:  # component j: (I - (I - mu eta L) diag(1 - mu R[:, j, j])) x_j = rhs[:, j]
-        lap = g.laplacian
-        combine = np.eye(n) - mu * eta * lap
-        mats = -combine * (1.0 - mu * diag)[:, None, :]
-        nodes = np.arange(n)
-        mats[:, nodes, nodes] += 1.0
-        rhs = (mu * eta) ** 2 * (lap @ (lap @ reg.solution.blocks))
-        bias = np.linalg.solve(mats, rhs.T[:, :, None])[:, :, 0].T.reshape(-1)
+    # group g: (I - (I - I_s kron mu eta L)(I - mu H_g)) x_g = rhs_g
+    cov = _coupled_covariances(ensemble)
+    groups, s = cov.shape[:2]
+    lap = g.laplacian
+    combine = np.eye(n) - mu * eta * lap
+    step = np.eye(s)[:, :, None] - mu * cov
+    mats = (-combine[:, None, :] * step[:, :, None]).reshape(groups, s * n, s * n)
+    diagonal = np.arange(s * n)
+    mats[:, diagonal, diagonal] += 1.0
+    rhs = (mu * eta) ** 2 * (lap @ (lap @ reg.solution.blocks))
+    x = np.linalg.solve(mats, rhs.T.reshape(groups, s * n, 1))
+    bias = x.reshape(m, n).T.reshape(-1)
     return BiasReport(
         mu=float(mu),
         eta=float(eta),

@@ -12,9 +12,10 @@ The per-node and per-frequency terms are batched over all nodes and
 frequencies for every covariance profile: one stacked formula gives the
 gradient-noise covariances, and each predictor is one stacked M x M solve plus
 a trace.  The regularized solution and the bias come from the regularized
-module, which solves them per component when every R_uk is diagonal and
-densely otherwise.  theory_report is the one entry point for a (mu, eta)
-point; optimize_eta evaluates it over a grid.
+module, which solves each as one stack over groups of coupled components (M
+N x N systems when every R_uk is diagonal, one (NM) x (NM) system otherwise).
+theory_report is the one entry point for a (mu, eta) point; optimize_eta
+evaluates it over a grid.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidArgument
 from .graphs import Graph
 from .regularized import (
     RegularizedSolution,
@@ -153,11 +155,11 @@ def optimize_eta(
     """
     grid = np.asarray(grid, dtype=float).reshape(-1)
     if grid.size == 0:
-        raise ValueError("eta grid must be nonempty")
+        raise InvalidArgument("eta grid must be nonempty")
     if np.any(np.diff(grid) <= 0.0):
-        raise ValueError("eta grid must be strictly ascending")
+        raise InvalidArgument("eta grid must be strictly ascending")
     if grid[0] != 0.0:
-        raise ValueError("eta grid must include 0")
+        raise InvalidArgument("eta grid must include 0")
     reports = tuple(theory_report(ensemble, g, mu, float(eta)) for eta in grid)
     values = np.array([r.msd_bar for r in reports])
     best = int(np.argmin(values))  # first minimum = smallest eta on ties

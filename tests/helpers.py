@@ -275,7 +275,7 @@ def sample(ensemble, agent: int, rng: np.random.Generator) -> DataSample:
     z = rng.standard_normal(m + 1)
     u = np.linalg.cholesky(ensemble.regressor_cov[agent]) @ z[:m]
     v = np.sqrt(ensemble.noise_var[agent]) * z[m]
-    d = float(u @ ensemble.targets.block(agent) + v)
+    d = float(u @ ensemble.targets.blocks[agent] + v)
     return DataSample(agent=agent, regressor=u, observation=d)
 
 

@@ -294,8 +294,8 @@ def test_criterion_7_noise_covariance_oracle():
         closed = _noise_covariances(ens, reg)[k]
         sampled = empirical_noise_covariance(
             ens.regressor_cov[k],
-            ens.targets.block(k),
-            reg.solution.block(k),
+            ens.targets.blocks[k],
+            reg.solution.blocks[k],
             float(ens.noise_var[k]),
             1_000_000,
             rng,

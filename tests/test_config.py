@@ -94,6 +94,8 @@ def test_syntax_errors_carry_line_numbers(text, fragment):
         "algo.steady_window_frac = 0",
         "output.formats = csv, pdf",
         "filter.lambda_points = 1",
+        "filter.lambda_max = nan",
+        "filter.lambda_max = inf",
     ],
 )
 def test_cross_field_validation(overrides):

@@ -225,8 +225,6 @@ class TestSignalsAndTransforms:
         blocks = np.arange(12.0).reshape(4, 3)
         w = mt.StackedSignal.from_blocks(blocks)
         assert w.n_agents == 4 and w.block_dim == 3
-        assert np.array_equal(w.block(2), blocks[2])
-        assert w.norm() == pytest.approx(np.linalg.norm(blocks))
         with pytest.raises(mt.DimensionMismatch):
             mt.StackedSignal(n_agents=4, block_dim=3, values=np.zeros(11))
 

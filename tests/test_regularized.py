@@ -134,7 +134,8 @@ def _check_against_oracles(ens, g, eta, mu):
 
 
 class TestStructuredCovariances:
-    """Diagonal covariances are solved per component; full ones densely."""
+    """Diagonal covariances are solved per component; full ones as one
+    coupled (NM) x (NM) system."""
 
     @settings(max_examples=30)
     @given(
@@ -149,20 +150,26 @@ class TestStructuredCovariances:
     @pytest.mark.parametrize("seed", [0, 4, 42])
     def test_full_covariances_match_oracles(self, seed):
         ens, g = _random_problem(seed)
-        assert mt.regularized._diagonal_covariances(ens) is None  # dense route
         _check_against_oracles(ens, g, 1.0, mu=0.05)
 
-    def test_isotropic_report_never_builds_dense_matrices(
-        self, monkeypatch, het_ensemble, bench_graph
-    ):
-        def refuse(*args, **kwargs):
-            raise AssertionError("dense (NM) x (NM) matrix built")
+    @pytest.mark.parametrize("kind", ["diagonal", "isotropic", "uniform", "full"])
+    def test_report_solves_one_stack_per_group(self, monkeypatch, kind):
+        """theory_report hands _spd_solve M N x N systems for diagonal
+        covariances and a single (NM) x (NM) system for full ones."""
+        ens, g = _random_problem(4) if kind == "full" else _structured_problem(4, kind)
+        n, m = ens.n_agents, ens.dim
+        assert m > 1
+        shapes = []
+        solve = mt.regularized._spd_solve
 
-        for name in ("_stacked_hessian", "_stacked_laplacian"):
-            for module in (mt.regularized, mt.theory):
-                monkeypatch.setattr(module, name, refuse, raising=False)
-        rep = mt.theory_report(het_ensemble, bench_graph, 1e-3, 5.0)
+        def record(mat, rhs):
+            shapes.append(mat.shape)
+            return solve(mat, rhs)
+
+        monkeypatch.setattr(mt.regularized, "_spd_solve", record)
+        rep = mt.theory_report(ens, g, 0.05, 1.0)
         assert np.isfinite(rep.msd_bar) and rep.bias_cross_term != 0.0
+        assert shapes == [(1, n * m, n * m) if kind == "full" else (m, n, n)]
 
 
 class TestSpdSolve:
@@ -199,7 +206,7 @@ class TestLimits:
         rhs = np.zeros(5)
         for k in range(15):
             total += het_ensemble.regressor_cov[k]
-            rhs += het_ensemble.regressor_cov[k] @ het_ensemble.targets.block(k)
+            rhs += het_ensemble.regressor_cov[k] @ het_ensemble.targets.blocks[k]
         assert np.allclose(total @ w_star, rhs, atol=1e-12)
 
     def test_large_eta_approaches_pareto(self, het_ensemble, bench_graph):

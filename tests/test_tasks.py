@@ -87,7 +87,7 @@ class TestModel:
     def test_hessian_and_true_gradient(self, het_ensemble):
         k = 4
         r = het_ensemble.regressor_cov[k]
-        w0 = het_ensemble.targets.block(k)
+        w0 = het_ensemble.targets.blocks[k]
         w = w0 + np.array([1.0, -1.0, 0.5, 0.0, 2.0])
         grad = true_gradient(het_ensemble, k, w)
         # the curvature is R_uk: the gradient moves by R_uk e_j along each e_j
@@ -107,7 +107,7 @@ class TestModel:
         z = replay.standard_normal(6)
         chol = np.linalg.cholesky(het_ensemble.regressor_cov[k])
         u = chol @ z[:5]
-        d = float(u @ het_ensemble.targets.block(k)) + np.sqrt(
+        d = float(u @ het_ensemble.targets.blocks[k]) + np.sqrt(
             het_ensemble.noise_var[k]
         ) * z[5]
         assert s.agent == k
@@ -121,7 +121,7 @@ class TestModel:
         s = sample(het_ensemble, k, rng)
         ghat = stochastic_gradient(w, s)
         # true-gradient form u u'(w - w0_k) plus the noise term -u v
-        u, w0 = s.regressor, het_ensemble.targets.block(k)
+        u, w0 = s.regressor, het_ensemble.targets.blocks[k]
         v = s.observation - float(u @ w0)
         assert np.allclose(ghat, np.outer(u, u) @ (w - w0) - u * v, atol=1e-12)
 

@@ -31,8 +31,8 @@ class TestNoiseCovariance:
         got = _noise_covariances(het_ensemble, reg)[k]
         emp = empirical_noise_covariance(
             het_ensemble.regressor_cov[k],
-            het_ensemble.targets.block(k),
-            reg.solution.block(k),
+            het_ensemble.targets.blocks[k],
+            reg.solution.blocks[k],
             float(het_ensemble.noise_var[k]),
             200_000,
             np.random.default_rng(2024),
