@@ -73,9 +73,9 @@ __version__ = "0.1.0"
 MODULE_VERSIONS = {
     "graphs": 1,
     "tasks": 1,
-    "regularized": 3,
+    "regularized": 4,
     "engine": 2,
-    "theory": 2,
+    "theory": 3,
 }
 
 __all__ = [

@@ -39,7 +39,7 @@ from .errors import (
     UnstableConfiguration,
 )
 from .graphs import Graph, gft
-from .regularized import long_term_bias, solve_regularized
+from .regularized import _long_term_bias, require_stable, solve_regularized
 from .svg import Series, line_chart
 from .tasks import TaskEnsemble
 from .theory import optimize_eta, theory_report
@@ -210,9 +210,11 @@ def cmd_bias_scan(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
     mus = cfg.algo.mu
     etas = cfg.algo.eta
     surface = np.empty((len(etas), len(mus)))
-    for j, mu in enumerate(mus):
-        for i, eta in enumerate(etas):
-            surface[i, j] = long_term_bias(ens, g, mu, eta).bias_sq_norm
+    for i, eta in enumerate(etas):  # W0_eta does not depend on mu: one solve per eta
+        for mu in mus:
+            require_stable(ens, g, mu, eta)
+        reg = solve_regularized(ens, g, eta)
+        surface[i] = [_long_term_bias(ens, g, mu, reg).bias_sq_norm for mu in mus]
 
     out = _out_dir(cfg)
     meta = _metadata(cfg, "bias-scan")

@@ -10,11 +10,11 @@ module run first, live here too.
 The smoothness penalty acts on each of the M components alike, so only the
 covariances R_uk couple one component to another.  Both (NM)-dimensional
 systems are therefore written once, in component-major order, over G groups
-of s coupled components (G * s = M) and solved as one (G, sN, sN) stack.  When
-every R_uk is diagonal (the scalar, varying and uniform profiles, and any
-diagonal covariance read from a config) each component is its own group and
-the stack holds M N x N systems; any other covariance makes one group of all M
-components and one (NM) x (NM) system.
+of s coupled components and solved as one (G, sN, sN) stack with r = M/(Gs)
+right-hand sides each.  Isotropic R_uk = sigma_k^2 I (every bundled config)
+give the M components one shared N x N system, factored once for M
+right-hand sides; other diagonal R_uk give M N x N systems, and any other
+covariance one group of all M components: one (NM) x (NM) system.
 """
 
 from __future__ import annotations
@@ -35,12 +35,14 @@ class RegularizedSolution:
 
     mismatch_sq is the raw squared distance ||W0_eta - W0||^2 (no 1/N);
     spectral_blocks[m] is the graph-frequency content of the solution.
+    coupled_cov is the _coupled_covariances grouping, reused by the bias solve.
     """
 
     eta: float
     solution: StackedSignal
     mismatch_sq: float
     spectral_blocks: np.ndarray
+    coupled_cov: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,16 +140,19 @@ def require_stable(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> N
 
 def _coupled_covariances(ensemble: TaskEnsemble) -> np.ndarray:
     """The covariances over G groups of s coupled components, as a (G, s, s, N)
-    stack with entry [g, k, l, a] = R_ua[g*s + k, g*s + l].
+    stack with entry [g, k, l, a] = R_ua[j, j'] for components
+    j = (g*s + k)*r + c and j' = (g*s + l)*r + c, where r = M / (G*s).
 
-    s = 1 when every R_uk is exactly diagonal, else s = M (one group).  The
-    stack is C-contiguous, so the system matrices built from it are too.
+    s = 1 when every R_uk is exactly diagonal, with G = 1 if the M diagonals
+    are equal, else G = M; otherwise s = M (one group).  The stack is
+    C-contiguous, so the system matrices built from it are too.
     """
     covs = ensemble.regressor_cov
     diag = np.diagonal(covs, axis1=1, axis2=2)
-    if np.array_equal(covs, diag[:, :, None] * np.eye(ensemble.dim)):
-        return np.ascontiguousarray(diag.T[:, None, None, :])
-    return np.ascontiguousarray(covs.transpose(1, 2, 0)[None])
+    if not np.array_equal(covs, diag[:, :, None] * np.eye(ensemble.dim)):
+        return np.ascontiguousarray(covs.transpose(1, 2, 0)[None])
+    diag = diag[:, :1] if np.all(diag == diag[:, :1]) else diag
+    return np.ascontiguousarray(diag.T[:, None, None, :])
 
 
 def _spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -179,25 +184,26 @@ def solve_regularized(ensemble: TaskEnsemble, g: Graph, eta: float) -> Regulariz
         raise InvalidArgument("eta must be nonnegative")
     n, m = ensemble.n_agents, ensemble.dim
     targets = ensemble.targets.values
+    cov = _coupled_covariances(ensemble)
     if eta == 0.0:
         sol = StackedSignal(n, m, targets)
     else:  # group g: (I_s kron eta L + H_g) w_g = H_g w0_g
-        cov = _coupled_covariances(ensemble)
         groups, s = cov.shape[:2]
         mats = np.zeros((groups, s, n, s, n))
         # einsum with a repeated index returns a writable view of that diagonal
         np.einsum("gkakb->gkab", mats)[...] = eta * g.laplacian
         np.einsum("gkala->gkla", mats)[...] += cov
-        w0 = ensemble.targets.blocks.T.reshape(groups, s, n)
-        rhs = np.einsum("gkla,gla->gka", cov, w0).reshape(groups, s * n, 1)
-        w = _spd_solve(mats.reshape(groups, s * n, s * n), rhs)
-        sol = StackedSignal.from_blocks(w.reshape(m, n).T)
+        w0 = ensemble.targets.blocks.reshape(n, groups, s, -1)  # [a, g, l, c]
+        rhs = np.einsum("gkla,aglc->gkac", cov, w0).reshape(groups, s * n, -1)
+        w = _spd_solve(mats.reshape(groups, s * n, s * n), rhs).reshape(groups, s, n, -1)
+        sol = StackedSignal.from_blocks(w.transpose(2, 0, 1, 3).reshape(n, m))
     mismatch = sol.values - targets
     return RegularizedSolution(
         eta=float(eta),
         solution=sol,
         mismatch_sq=float(mismatch @ mismatch),
         spectral_blocks=gft(sol, g).blocks.copy(),
+        coupled_cov=cov,
     )
 
 
@@ -226,7 +232,7 @@ def _long_term_bias(
         bias = np.zeros(n * m)
         return BiasReport(mu=float(mu), eta=0.0, bias_vector=bias, bias_sq_norm=0.0)
     # group g: (I - (I - I_s kron mu eta L)(I - mu H_g)) x_g = rhs_g
-    cov = _coupled_covariances(ensemble)
+    cov = reg.coupled_cov
     groups, s = cov.shape[:2]
     lap = g.laplacian
     combine = np.eye(n) - mu * eta * lap
@@ -235,8 +241,9 @@ def _long_term_bias(
     diagonal = np.arange(s * n)
     mats[:, diagonal, diagonal] += 1.0
     rhs = (mu * eta) ** 2 * (lap @ (lap @ reg.solution.blocks))
-    x = np.linalg.solve(mats, rhs.T.reshape(groups, s * n, 1))
-    bias = x.reshape(m, n).T.reshape(-1)
+    rhs = rhs.reshape(n, groups, s, -1).transpose(1, 2, 0, 3).reshape(groups, s * n, -1)
+    x = np.linalg.solve(mats, rhs).reshape(groups, s, n, -1)
+    bias = x.transpose(2, 0, 1, 3).reshape(-1)
     return BiasReport(
         mu=float(mu),
         eta=float(eta),

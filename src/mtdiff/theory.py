@@ -12,10 +12,11 @@ The per-node and per-frequency terms are batched over all nodes and
 frequencies for every covariance profile: one stacked formula gives the
 gradient-noise covariances, and each predictor is one stacked M x M solve plus
 a trace.  The regularized solution and the bias come from the regularized
-module, which solves each as one stack over groups of coupled components (M
-N x N systems when every R_uk is diagonal, one (NM) x (NM) system otherwise).
-theory_report is the one entry point for a (mu, eta) point; optimize_eta
-evaluates it over a grid.
+module, which groups the components once per point and solves each system as
+one stack over those groups: one N x N system with M right-hand sides when
+the covariances are isotropic, M N x N systems for other diagonal ones, one
+(NM) x (NM) system otherwise.  theory_report is the one entry point for a
+(mu, eta) point; optimize_eta evaluates it over a grid.
 """
 
 from __future__ import annotations
@@ -99,12 +100,10 @@ def msd_noncoop(ensemble: TaskEnsemble, mu: float) -> float:
     """Steady-state deviation when every node adapts alone (no combine step).
 
     Each node contributes mu/2 * Tr(H_k^{-1} R_{s,k}) evaluated at its own
-    target, which for the built-in quadratic model is mu * M * sigma_v^2 / 2.
+    target, which for the built-in quadratic model (R_{s,k} = sigma_v,k^2 H_k)
+    is mu * M * sigma_v,k^2 / 2; the network value is their mean.
     """
-    covs = ensemble.regressor_cov
-    r_s = ensemble.noise_var[:, None, None] * covs
-    total = float(np.trace(np.linalg.solve(covs, r_s), axis1=1, axis2=2).sum())
-    return mu / (2.0 * ensemble.n_agents) * total
+    return mu * ensemble.dim * float(ensemble.noise_var.mean()) / 2.0
 
 
 def theory_report(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> TheoryReport:
@@ -112,7 +111,8 @@ def theory_report(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> Th
 
     Checks the step-size conditions once (raising UnstableConfiguration when
     any fails) and solves the regularized problem once; every field of the
-    report reads that one solution.
+    report reads that one solution, and the bias solve reuses its grouping of
+    the covariances.
     """
     require_stable(ensemble, g, mu, eta)
     reg = solve_regularized(ensemble, g, eta)

@@ -7,8 +7,9 @@ gradient descent, through one explicit dense (NM) x (NM) solve and, for
 uniform profiles, through per-frequency filtering, the noise-covariance oracle
 through brute-force sampling, the steady-state bias oracle through the
 noise-free recursion itself, the steady-state MSD oracles through the full
-matrix series and through the uniform-profile per-frequency sum, and the
-replay oracle's sampler through its own Cholesky factors.
+matrix series and through the uniform-profile per-frequency sum, the
+non-cooperative MSD through its trace formula, and the replay oracle's
+sampler through its own Cholesky factors.
 Keep it that way: the moment an oracle shares a code path with the production
 routine, the corresponding test stops being evidence.
 """
@@ -198,6 +199,15 @@ def uniform_msd(ensemble, g, mu: float, eta: float) -> float:
         s_m = sum(g.eigenvectors[k, i] ** 2 * noise[k] for k in range(n))
         total += float(np.trace(np.linalg.solve(r_u + eta * lam * np.eye(m), s_m)))
     return mu / (2.0 * n) * total
+
+
+def noncoop_trace_msd(ensemble, mu: float) -> float:
+    """Non-cooperative steady-state MSD as mu/(2N) * sum_k Tr(R_k^{-1} R_s,k)
+    with R_s,k = sigma_v,k^2 R_k, the noise floor at each node's own target."""
+    covs = ensemble.regressor_cov
+    r_s = ensemble.noise_var[:, None, None] * covs
+    total = float(np.trace(np.linalg.solve(covs, r_s), axis1=1, axis2=2).sum())
+    return mu / (2.0 * ensemble.n_agents) * total
 
 
 def lyapunov_msd(

@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
+import mtdiff as mt
 from mtdiff.cli import main
+from mtdiff.config import build_ensemble, build_graph, load_config
 
 RING = "\n".join(f"{k} {k % 5 + 1} 0.2" for k in range(1, 6)) + "\n"
 
@@ -172,6 +174,34 @@ class TestBiasScanCommand:
         text = capsys.readouterr().out
         assert "vs log mu" in text
         assert (out / "bias_scan.svg").exists()
+
+    def test_one_solve_per_eta_and_surface_matches_pairs(self, tmp_path, monkeypatch):
+        """W0_eta is solved once per eta for all mu, and every cell equals
+        long_term_bias at its (mu, eta) pair exactly."""
+        path = _write_config(
+            tmp_path, {"algo.mu": "1e-3, 1e-4, 1e-5", "algo.eta": "0, 1, 5"}
+        )
+        solved = []
+        solve = mt.regularized.solve_regularized
+
+        def record(ens, g, eta):
+            solved.append(eta)
+            return solve(ens, g, eta)
+
+        monkeypatch.setattr(mt.regularized, "solve_regularized", record)
+        monkeypatch.setattr(mt.cli, "solve_regularized", record)
+        out = tmp_path / "res"
+        assert main(["bias-scan", "--config", str(path), "--out", str(out)]) == 0
+        assert solved == [0.0, 1.0, 5.0]
+        monkeypatch.undo()
+        cfg = load_config(path)
+        g = build_graph(cfg)
+        ens = build_ensemble(cfg, g)
+        _, _, rows = _read_csv(out / "bias_scan.csv")
+        for row, eta in zip(rows, cfg.algo.eta, strict=True):
+            for j, mu in enumerate(cfg.algo.mu):
+                want = mt.long_term_bias(ens, g, mu, eta).bias_sq_norm
+                assert float(row[1 + 2 * j]) == want
 
 
 class TestSweepEtaCommand:

@@ -152,24 +152,40 @@ class TestStructuredCovariances:
         ens, g = _random_problem(seed)
         _check_against_oracles(ens, g, 1.0, mu=0.05)
 
-    @pytest.mark.parametrize("kind", ["diagonal", "isotropic", "uniform", "full"])
+    @pytest.mark.parametrize(
+        "kind", ["diagonal", "isotropic", "uniform", "uniform_profile", "full"]
+    )
     def test_report_solves_one_stack_per_group(self, monkeypatch, kind):
-        """theory_report hands _spd_solve M N x N systems for diagonal
-        covariances and a single (NM) x (NM) system for full ones."""
-        ens, g = _random_problem(4) if kind == "full" else _structured_problem(4, kind)
+        """theory_report hands _spd_solve one N x N system with M right-hand
+        sides for isotropic covariances, M N x N systems for other diagonal
+        ones and a single (NM) x (NM) system for full ones."""
+        if kind == "full":
+            ens, g = _random_problem(4)
+        elif kind == "uniform_profile":
+            ens, g = _structured_problem(4, "isotropic")
+            ens = mt.uniform_profile(ens.targets, sigma_u_sq=1.5, sigma_v_sq=0.1)
+        else:
+            ens, g = _structured_problem(4, kind)
         n, m = ens.n_agents, ens.dim
         assert m > 1
         shapes = []
         solve = mt.regularized._spd_solve
 
         def record(mat, rhs):
-            shapes.append(mat.shape)
+            shapes.append((mat.shape, rhs.shape))
             return solve(mat, rhs)
 
         monkeypatch.setattr(mt.regularized, "_spd_solve", record)
         rep = mt.theory_report(ens, g, 0.05, 1.0)
         assert np.isfinite(rep.msd_bar) and rep.bias_cross_term != 0.0
-        assert shapes == [(1, n * m, n * m) if kind == "full" else (m, n, n)]
+        want = {
+            "full": ((1, n * m, n * m), (1, n * m, 1)),
+            "diagonal": ((m, n, n), (m, n, 1)),
+            "uniform": ((m, n, n), (m, n, 1)),
+            "isotropic": ((1, n, n), (1, n, m)),
+            "uniform_profile": ((1, n, n), (1, n, m)),
+        }
+        assert shapes == [want[kind]]
 
 
 class TestSpdSolve:

@@ -12,9 +12,11 @@ from helpers import (
     empirical_noise_covariance,
     lyapunov_msd,
     make_random_spd,
+    noncoop_trace_msd,
     random_connected_adjacency,
     uniform_msd,
 )
+from test_regularized import _random_problem
 
 
 class TestNoiseCovariance:
@@ -55,10 +57,12 @@ class TestPredictors:
         assert rep.msd_total == float(rep.msd_per_frequency.sum())
 
     def test_noncoop_closed_form(self, het_ensemble):
+        """The closed form against the trace formula it simplifies, on the
+        heterogeneous profile and on random full covariances."""
         mu = 1e-3
-        # each quadratic node contributes mu*M*sigma_vk^2/2 regardless of R_u
-        want = mu * 5 * het_ensemble.noise_var.mean() / 2.0
-        assert mt.msd_noncoop(het_ensemble, mu) == pytest.approx(want, rel=1e-12)
+        for ens in [het_ensemble] + [_random_problem(seed)[0] for seed in (0, 4, 42)]:
+            want = noncoop_trace_msd(ens, mu)
+            assert mt.msd_noncoop(ens, mu) == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_uniform_specialization_matches_general(self, uni_ensemble, bench_graph):
         for eta in (0.0, 1.0, 5.0, 20.0):
