@@ -14,7 +14,6 @@ from .engine import (
     SimResult,
     default_horizon,
     monte_carlo,
-    run_single,
 )
 from .errors import (
     ConfigError,
@@ -118,7 +117,6 @@ __all__ = [
     "optimize_eta",
     "random_geometric_graph",
     "require_stable",
-    "run_single",
     "scalar_profile",
     "smoothness",
     "solve_regularized",

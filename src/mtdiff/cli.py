@@ -9,10 +9,14 @@ Five subcommands map onto the library's main entry points:
 * ``filter-response`` low-pass gain of the regularization filter
 
 All take ``--config`` (flat-key file, see config.py) plus optional ``--out``,
-``--seed`` and ``--jobs`` overrides.  Outputs are CSV (always linear scale)
+``--seed`` and ``--jobs`` overrides.  A command computes and prints; it does
+not touch the file system.  It returns its tables and charts as ``Outputs``,
+and ``write_outputs`` writes them once the command has succeeded, so a
+command that fails writes nothing.  Outputs are CSV (always linear scale)
 and native SVG (decibels applied at render time); every file starts with
 ``#``-prefixed metadata lines carrying the config digest, the effective seed
-and the module versions.  Exit codes: 0 ok, 2 config or other input error,
+and the module versions.  Exit codes: 0 ok, 2 config or other input error
+(including an unreadable input file and an unwritable ``--out``),
 3 stability violation, 4 numerical divergence or singular system.
 """
 
@@ -23,7 +27,7 @@ import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,15 +49,14 @@ from .tasks import TaskEnsemble
 from .theory import optimize_eta, theory_report
 
 
-def _metadata(cfg: ExperimentConfig, command: str) -> list[str]:
-    modules = ", ".join(f"{k}={v}" for k, v in sorted(MODULE_VERSIONS.items()))
-    return [
-        f"tool = mtdiff {__version__}",
-        f"command = {command}",
-        f"config-sha256 = {cfg.sha256}",
-        f"seed = {cfg.algo.seed}",
-        f"modules = {modules}",
-    ]
+class Outputs(NamedTuple):
+    """What a command produced: CSV tables (file name -> header, rows), SVG
+    charts (file name -> series, ``line_chart`` options) and extra metadata
+    lines for every file."""
+
+    tables: dict[str, tuple[list[str], list]]
+    charts: dict[str, tuple[list[Series], dict]]
+    metadata: tuple[str, ...] = ()
 
 
 def _cell(v: object) -> str:
@@ -64,15 +67,33 @@ def _cell(v: object) -> str:
     return str(v)
 
 
-def _write_csv(
-    path: Path, metadata: Sequence[str], header: Sequence[str], rows: Sequence[Sequence]
-) -> None:
-    with open(path, "w", newline="") as fh:
-        for line in metadata:
-            fh.write(f"# {line}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+def write_outputs(cfg: ExperimentConfig, command: str, out: Outputs) -> None:
+    """Create output.dir and write the tables and charts in output.formats,
+    each headed by the same metadata lines.  A file-system failure (say, an
+    output.dir that names a regular file) raises ConfigError."""
+    modules = ", ".join(f"{k}={v}" for k, v in sorted(MODULE_VERSIONS.items()))
+    meta = [
+        f"tool = mtdiff {__version__}",
+        f"command = {command}",
+        f"config-sha256 = {cfg.sha256}",
+        f"seed = {cfg.algo.seed}",
+        f"modules = {modules}",
+        *out.metadata,
+    ]
+    d = Path(cfg.output.dir)
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+        if "csv" in cfg.output.formats:
+            head = "".join(f"# {line}\n" for line in meta)
+            for name, (header, rows) in out.tables.items():
+                with open(d / name, "w", newline="") as fh:
+                    fh.write(head + ",".join(header) + "\n")
+                    fh.writelines(",".join(_cell(v) for v in row) + "\n" for row in rows)
+        if "svg" in cfg.output.formats:
+            for name, (series, options) in out.charts.items():
+                (d / name).write_text(line_chart(series, metadata=meta, **options))
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs to {d}: {exc}") from exc
 
 
 def _db(x: float) -> str:
@@ -101,95 +122,63 @@ def _sim_config(cfg: ExperimentConfig, mu: float, eta: float) -> SimConfig:
     )
 
 
-def _out_dir(cfg: ExperimentConfig) -> Path:
-    d = Path(cfg.output.dir)
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
 # ---------------------------------------------------------------- commands
 
 
-def cmd_theory(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
+def cmd_theory(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> Outputs:
     mu = _single(cfg.algo.mu, "algo.mu")
     reports = [theory_report(ens, g, mu, eta) for eta in cfg.algo.eta]
 
-    out = _out_dir(cfg)
-    meta = _metadata(cfg, "theory")
     rows = [
         [r.eta, r.mu, r.msd_total, r.msd_noncoop, r.msd_bar, r.mismatch_sq, r.bias_cross_term]
         for r in reports
     ]
-    if "csv" in cfg.output.formats:
-        _write_csv(
-            out / "theory.csv",
-            meta,
-            ["eta", "mu", "msd_total", "msd_noncoop", "msd_bar", "mismatch_sq", "bias_cross"],
-            rows,
-        )
-        for r in reports:
-            freq_rows = [
-                [m + 1, float(g.eigenvalues[m]), float(r.msd_per_frequency[m])]
-                for m in range(g.n_agents)
-            ]
-            _write_csv(
-                out / f"theory_freq_eta{_slug(r.eta)}.csv",
-                meta,
-                ["m", "lambda_m", "msd_term"],
-                freq_rows,
-            )
-    if "svg" in cfg.output.formats and len(reports) > 1:
+    header = ["eta", "mu", "msd_total", "msd_noncoop", "msd_bar", "mismatch_sq", "bias_cross"]
+    tables = {"theory.csv": (header, rows)}
+    for r in reports:
+        freq_rows = [
+            [m + 1, float(g.eigenvalues[m]), float(r.msd_per_frequency[m])]
+            for m in range(g.n_agents)
+        ]
+        tables[f"theory_freq_eta{_slug(r.eta)}.csv"] = (["m", "lambda_m", "msd_term"], freq_rows)
+    charts = {}
+    if len(reports) > 1:
         etas = [r.eta for r in reports]
-        doc = line_chart(
-            [
-                Series("msd vs regularized point", etas, [r.msd_total for r in reports], markers=True),
-                Series("msd vs targets", etas, [r.msd_bar for r in reports], markers=True),
-                Series("non-cooperative", etas, [r.msd_noncoop for r in reports], dash="6 4"),
-            ],
-            title="steady-state predictions",
-            x_label="eta",
-            y_label="MSD",
-            y_db=cfg.output.db,
-            metadata=meta,
+        series = [
+            Series("msd vs regularized point", etas, [r.msd_total for r in reports], markers=True),
+            Series("msd vs targets", etas, [r.msd_bar for r in reports], markers=True),
+            Series("non-cooperative", etas, [r.msd_noncoop for r in reports], dash="6 4"),
+        ]
+        chart = dict(
+            title="steady-state predictions", x_label="eta", y_label="MSD", y_db=cfg.output.db
         )
-        (out / "theory.svg").write_text(doc)
+        charts["theory.svg"] = (series, chart)
     for r in reports:
         print(
             f"eta={r.eta:g}  msd={r.msd_total:.6e} ({_db(r.msd_total)})  "
             f"msd_bar={r.msd_bar:.6e} ({_db(r.msd_bar)})"
         )
+    return Outputs(tables, charts)
 
 
-def cmd_simulate(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
+def cmd_simulate(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> Outputs:
     mu = _single(cfg.algo.mu, "algo.mu")
     eta = _single(cfg.algo.eta, "algo.eta")
     report = theory_report(ens, g, mu, eta)
     res = monte_carlo(ens, g, _sim_config(cfg, mu, eta), jobs=cfg.algo.jobs)
 
-    out = _out_dir(cfg)
-    meta = _metadata(cfg, "simulate")
     t = res.curve_vs_reg.size
-    if "csv" in cfg.output.formats:
-        curves = zip(res.curve_vs_reg, res.curve_vs_target)
-        rows = [[i, float(r), float(tg)] for i, (r, tg) in enumerate(curves)]
-        _write_csv(out / "curves.csv", meta, ["iter", "msd_vs_reg", "msd_vs_target"], rows)
-    if "svg" in cfg.output.formats:
-        iters = np.arange(t)
-        series = [
-            Series("simulation (vs regularized point)", iters, res.curve_vs_reg),
-            Series("simulation (vs targets)", iters, res.curve_vs_target),
-            Series("theory steady state", [0, t - 1], [report.msd_total] * 2, dash="6 4"),
-            Series("theory steady state (targets)", [0, t - 1], [report.msd_bar] * 2, dash="2 3"),
-        ]
-        doc = line_chart(
-            series,
-            title=f"learning curves (mu={mu:g}, eta={eta:g}, {res.runs_completed} runs)",
-            x_label="iteration",
-            y_label="MSD",
-            y_db=cfg.output.db,
-            metadata=meta,
-        )
-        (out / "learning_curve.svg").write_text(doc)
+    curves = zip(res.curve_vs_reg, res.curve_vs_target)
+    rows = [[i, float(r), float(tg)] for i, (r, tg) in enumerate(curves)]
+    iters = np.arange(t)
+    series = [
+        Series("simulation (vs regularized point)", iters, res.curve_vs_reg),
+        Series("simulation (vs targets)", iters, res.curve_vs_target),
+        Series("theory steady state", [0, t - 1], [report.msd_total] * 2, dash="6 4"),
+        Series("theory steady state (targets)", [0, t - 1], [report.msd_bar] * 2, dash="2 3"),
+    ]
+    title = f"learning curves (mu={mu:g}, eta={eta:g}, {res.runs_completed} runs)"
+    chart = dict(title=title, x_label="iteration", y_label="MSD", y_db=cfg.output.db)
     print(
         f"steady msd (vs reg): sim={_db(res.steady_msd_vs_reg)}  "
         f"theory={_db(report.msd_total)}"
@@ -197,6 +186,10 @@ def cmd_simulate(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
     print(
         f"steady msd (vs targets): sim={_db(res.steady_msd_vs_target)}  "
         f"theory={_db(report.msd_bar)}"
+    )
+    return Outputs(
+        {"curves.csv": (["iter", "msd_vs_reg", "msd_vs_target"], rows)},
+        {"learning_curve.svg": (series, chart)},
     )
 
 
@@ -206,7 +199,7 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def cmd_bias_scan(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
+def cmd_bias_scan(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> Outputs:
     mus = cfg.algo.mu
     etas = cfg.algo.eta
     surface = np.empty((len(etas), len(mus)))
@@ -216,77 +209,57 @@ def cmd_bias_scan(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
         reg = solve_regularized(ens, g, eta)
         surface[i] = [_long_term_bias(ens, g, mu, reg).bias_sq_norm for mu in mus]
 
-    out = _out_dir(cfg)
-    meta = _metadata(cfg, "bias-scan")
-    if "csv" in cfg.output.formats:
-        header = ["eta"]
-        for mu in mus:
-            header += [f"bias_sq[mu={mu:g}]", f"bias_db[mu={mu:g}]"]
-        rows = []
-        for i, eta in enumerate(etas):
-            row: list[object] = [eta]
-            for j in range(len(mus)):
-                b = float(surface[i, j])
-                row.append(b)
-                row.append(10.0 * math.log10(b) if b > 0.0 else None)
-            rows.append(row)
-        _write_csv(out / "bias_scan.csv", meta, header, rows)
+    header = ["eta"]
+    for mu in mus:
+        header += [f"bias_sq[mu={mu:g}]", f"bias_db[mu={mu:g}]"]
+    rows = []
+    for i, eta in enumerate(etas):
+        row: list[object] = [eta]
+        for j in range(len(mus)):
+            b = float(surface[i, j])
+            row.append(b)
+            row.append(10.0 * math.log10(b) if b > 0.0 else None)
+        rows.append(row)
 
     positive = np.array([e > 0.0 for e in etas])
     slope_rows = []
     for j, mu in enumerate(mus):
         if positive.sum() >= 2:
-            slope = _loglog_slope(
-                np.asarray(etas)[positive], surface[positive, j]
-            )
+            slope = _loglog_slope(np.asarray(etas)[positive], surface[positive, j])
             slope_rows.append([mu, slope, int(positive.sum())])
             print(f"mu={mu:g}: slope of log||bias||^2 vs log eta = {slope:.3f}")
         else:
             slope_rows.append([mu, None, int(positive.sum())])
-    if "csv" in cfg.output.formats:
-        _write_csv(
-            out / "bias_slopes.csv", meta, ["mu", "slope_vs_eta", "n_points"], slope_rows
-        )
     if len(mus) >= 2 and positive.any():
         eta_ref = float(np.asarray(etas)[positive].max())
         i_ref = etas.index(eta_ref)
         slope_mu = _loglog_slope(np.asarray(mus), surface[i_ref, :])
         print(f"eta={eta_ref:g}: slope of log||bias||^2 vs log mu = {slope_mu:.3f}")
 
-    if "svg" in cfg.output.formats and positive.sum() >= 2:
+    charts = {}
+    if positive.sum() >= 2:
         series = [
             Series(f"mu={mu:g}", np.asarray(etas)[positive], surface[positive, j], markers=True)
             for j, mu in enumerate(mus)
         ]
-        doc = line_chart(
-            series,
-            title="steady-state bias vs regularization",
-            x_label="eta",
-            y_label="||bias||^2",
-            x_log=True,
-            y_db=True,
-            metadata=meta,
-        )
-        (out / "bias_scan.svg").write_text(doc)
+        title = "steady-state bias vs regularization"
+        chart = dict(title=title, x_label="eta", y_label="||bias||^2", x_log=True, y_db=True)
+        charts["bias_scan.svg"] = (series, chart)
+    tables = {
+        "bias_scan.csv": (header, rows),
+        "bias_slopes.csv": (["mu", "slope_vs_eta", "n_points"], slope_rows),
+    }
+    return Outputs(tables, charts)
 
 
-def cmd_sweep_eta(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
+def cmd_sweep_eta(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> Outputs:
     mu = _single(cfg.algo.mu, "algo.mu")
     sweep = optimize_eta(ens, g, mu, cfg.algo.eta)
-
-    out = _out_dir(cfg)
-    meta = _metadata(cfg, "sweep-eta") + [f"eta-star = {sweep.eta_star:g}"]
-    if "csv" in cfg.output.formats:
-        rows = [
-            [r.eta, r.msd_bar, r.msd_total, r.mismatch_sq, r.bias_cross_term]
-            for r in sweep.reports
-        ]
-        _write_csv(
-            out / "sweep.csv",
-            meta,
-            ["eta", "msd_bar", "msd_total", "mismatch_sq", "bias_cross"],
-            rows,
-        )
+    rows = [
+        [r.eta, r.msd_bar, r.msd_total, r.mismatch_sq, r.bias_cross_term]
+        for r in sweep.reports
+    ]
+    tables = {"sweep.csv": (["eta", "msd_bar", "msd_total", "mismatch_sq", "bias_cross"], rows)}
 
     spot: list[tuple[float, float]] = []
     if cfg.sweep.spot_check:
@@ -294,36 +267,22 @@ def cmd_sweep_eta(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
         for eta in check_etas:
             res = monte_carlo(ens, g, _sim_config(cfg, mu, eta), jobs=cfg.algo.jobs)
             spot.append((eta, res.steady_msd_vs_target))
-        if "csv" in cfg.output.formats:
-            spot_rows = [
-                [eta, sim_val, float(np.interp(eta, sweep.etas, sweep.msd_bar_curve))]
-                for eta, sim_val in spot
-            ]
-            _write_csv(
-                out / "sweep_spot_check.csv",
-                meta,
-                ["eta", "msd_sim_vs_target", "msd_bar_theory"],
-                spot_rows,
-            )
+        spot_rows = [
+            [eta, sim_val, float(np.interp(eta, sweep.etas, sweep.msd_bar_curve))]
+            for eta, sim_val in spot
+        ]
+        spot_header = ["eta", "msd_sim_vs_target", "msd_bar_theory"]
+        tables["sweep_spot_check.csv"] = (spot_header, spot_rows)
 
-    if "svg" in cfg.output.formats:
-        series = [Series("msd_bar (theory)", sweep.etas, sweep.msd_bar_curve)]
-        series.append(
-            Series("optimum", [sweep.eta_star], [float(sweep.msd_bar_curve.min())], markers=True)
-        )
-        if spot:
-            series.append(
-                Series("simulation spot check", [e for e, _ in spot], [v for _, v in spot], markers=True)
-            )
-        doc = line_chart(
-            series,
-            title=f"regularization sweep (mu={mu:g})",
-            x_label="eta",
-            y_label="MSD vs targets",
-            y_db=cfg.output.db,
-            metadata=meta,
-        )
-        (out / "sweep.svg").write_text(doc)
+    series = [
+        Series("msd_bar (theory)", sweep.etas, sweep.msd_bar_curve),
+        Series("optimum", [sweep.eta_star], [float(sweep.msd_bar_curve.min())], markers=True),
+    ]
+    if spot:
+        sims = [e for e, _ in spot], [v for _, v in spot]
+        series.append(Series("simulation spot check", *sims, markers=True))
+    title = f"regularization sweep (mu={mu:g})"
+    chart = dict(title=title, x_label="eta", y_label="MSD vs targets", y_db=cfg.output.db)
 
     base = float(sweep.msd_bar_curve[0])
     best = float(sweep.msd_bar_curve.min())
@@ -333,28 +292,22 @@ def cmd_sweep_eta(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
     )
     for eta, sim_val in spot:
         print(f"spot check eta={eta:g}: sim msd (vs targets) = {_db(sim_val)}")
+    return Outputs(tables, {"sweep.svg": (series, chart)}, (f"eta-star = {sweep.eta_star:g}",))
 
 
-def cmd_filter_response(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> None:
+def cmd_filter_response(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> Outputs:
     if not ens.is_uniform:
-        raise NonUniformProfile(
-            "filter-response requires the uniform covariance profile"
-        )
+        raise NonUniformProfile("filter-response requires the uniform covariance profile")
     lam_u_max = float(np.linalg.eigvalsh(ens.regressor_cov[0])[-1])
 
     def gain(eta: float, lam: float) -> float:
         return 1.0 / (1.0 + eta * lam / lam_u_max)
 
     lam_grid = np.linspace(0.0, cfg.filter.lambda_max, cfg.filter.lambda_points)
-
-    out = _out_dir(cfg)
-    meta = _metadata(cfg, "filter-response")
     rows = []
     for eta in cfg.algo.eta:
         for lam in lam_grid:
             rows.append([eta, float(lam), gain(eta, float(lam))])
-    if "csv" in cfg.output.formats:
-        _write_csv(out / "filter.csv", meta, ["eta", "lambda", "ratio"], rows)
 
     base_blocks = gft(ens.targets, g).blocks
     base_norms = np.linalg.norm(base_blocks, axis=1)
@@ -366,30 +319,22 @@ def cmd_filter_response(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> N
             lam = float(g.eigenvalues[m])
             ratio = float(norms[m] / base_norms[m]) if base_norms[m] > 0.0 else None
             target_rows.append([eta, m + 1, lam, ratio, gain(eta, lam)])
-    if "csv" in cfg.output.formats:
-        _write_csv(
-            out / "filter_targets.csv",
-            meta,
-            ["eta", "m", "lambda_m", "ratio", "bound"],
-            target_rows,
-        )
 
-    if "svg" in cfg.output.formats:
-        series = [
-            Series(f"eta={eta:g}", lam_grid, [gain(eta, float(lam)) for lam in lam_grid])
-            for eta in cfg.algo.eta
-        ]
-        doc = line_chart(
-            series,
-            title="regularization filter gain",
-            x_label="graph frequency lambda",
-            y_label="gain",
-            metadata=meta,
-        )
-        (out / "filter.svg").write_text(doc)
+    series = [
+        Series(f"eta={eta:g}", lam_grid, [gain(eta, float(lam)) for lam in lam_grid])
+        for eta in cfg.algo.eta
+    ]
+    chart = dict(
+        title="regularization filter gain", x_label="graph frequency lambda", y_label="gain"
+    )
     for eta in cfg.algo.eta:
         worst = gain(eta, float(lam_grid[-1]))
         print(f"eta={eta:g}: gain at lambda={lam_grid[-1]:g} is {worst:.4f}")
+    tables = {
+        "filter.csv": (["eta", "lambda", "ratio"], rows),
+        "filter_targets.csv": (["eta", "m", "lambda_m", "ratio", "bound"], target_rows),
+    }
+    return Outputs(tables, {"filter.svg": (series, chart)})
 
 
 # ---------------------------------------------------------------- driver
@@ -442,7 +387,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _apply_overrides(load_config(args.config), args)
         g = build_graph(cfg)
         ens = build_ensemble(cfg, g)
-        args.func(cfg, g, ens)
+        write_outputs(cfg, args.command, args.func(cfg, g, ens))
     except UnstableConfiguration as exc:
         print(f"stability violation: {exc}", file=sys.stderr)
         return 3

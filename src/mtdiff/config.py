@@ -228,7 +228,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     p = Path(path)
     try:
         text = p.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {p}: {exc}") from None
     return parse_config(text, base_dir=p.parent)
 
@@ -301,6 +301,14 @@ def build_graph(cfg: ExperimentConfig) -> Graph:
     )
 
 
+def _load_matrix(cfg: ExperimentConfig, key: str, value: str) -> np.ndarray:
+    path = cfg.resolve(value)
+    try:
+        return np.loadtxt(path, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{key}: cannot read {path}: {exc}") from exc
+
+
 def build_ensemble(cfg: ExperimentConfig, g: Graph) -> TaskEnsemble:
     """Materialize targets and data profile on the given topology."""
     e = cfg.ensemble
@@ -308,7 +316,7 @@ def build_ensemble(cfg: ExperimentConfig, g: Graph) -> TaskEnsemble:
         tau = np.asarray(e.tau if e.tau else [7.0 + j for j in range(1, e.dim + 1)])
         targets = make_smooth_target(g, tau, e.dim)
     else:
-        raw = np.loadtxt(cfg.resolve(e.target_path), ndmin=2)
+        raw = _load_matrix(cfg, "ensemble.target_path", e.target_path)
         if raw.shape != (g.n_agents, e.dim):
             raise ConfigError(
                 f"target file has shape {raw.shape}, expected ({g.n_agents}, {e.dim})"
@@ -323,7 +331,7 @@ def build_ensemble(cfg: ExperimentConfig, g: Graph) -> TaskEnsemble:
             sigma_u_sq_range=(e.sigma_u_range[0], e.sigma_u_range[1]),
             sigma_v_sq_range=(e.sigma_v_range[0], e.sigma_v_range[1]),
         )
-    raw = np.loadtxt(cfg.resolve(e.profile_path), ndmin=2)
+    raw = _load_matrix(cfg, "ensemble.profile_path", e.profile_path)
     if raw.ndim != 2 or raw.shape != (g.n_agents, 2):
         raise ConfigError(
             f"profile file has shape {raw.shape}, expected ({g.n_agents}, 2) "

@@ -2,9 +2,9 @@
 
 Each iteration every node takes a stochastic-gradient step on its own data
 (adapt) and then moves toward its neighbors' intermediate estimates, weighted
-by the graph and the regularization strength (combine).  Every entry point
-refuses an inadmissible (mu, eta) through the stability checks of the
-regularized module.
+by the graph and the regularization strength (combine).  The one entry point,
+``monte_carlo``, refuses an inadmissible (mu, eta) through the stability
+checks of the regularized module.
 
 State layout
 ------------
@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -221,47 +221,6 @@ def _run_block(
     return sum_reg, sum_tgt, agent_window
 
 
-def _combine_blocks(
-    cfg: SimConfig, horizon: int, window_start: int, partials
-) -> SimResult:
-    n_runs = cfg.n_runs
-    denom = n_runs * (horizon - window_start)
-    sum_reg = np.zeros(horizon)
-    sum_tgt = np.zeros(horizon)
-    agent_window = np.zeros_like(partials[0][2])
-    for part in partials:  # fixed block order
-        sum_reg += part[0]
-        sum_tgt += part[1]
-        agent_window += part[2]
-    curve_reg = sum_reg / n_runs
-    curve_tgt = sum_tgt / n_runs
-    return SimResult(
-        curve_vs_reg=curve_reg,
-        curve_vs_target=curve_tgt,
-        steady_msd_vs_reg=float(curve_reg[window_start:].mean()),
-        steady_msd_vs_target=float(curve_tgt[window_start:].mean()),
-        steady_msd_per_agent_vs_reg=agent_window / denom,
-        runs_completed=n_runs,
-    )
-
-
-def run_single(
-    ensemble: TaskEnsemble, g: Graph, cfg: SimConfig, run_index: int = 0
-) -> SimResult:
-    """Simulate one run and return its (unaveraged) error trajectories."""
-    require_stable(ensemble, g, cfg.mu, cfg.eta)
-    if run_index < 0:
-        raise InvalidArgument("run_index must be nonnegative")
-    prob = _Problem(ensemble, g, cfg)
-    horizon = cfg.horizon(ensemble)
-    window_start = horizon - cfg.window_length(horizon)
-    single_cfg = replace(cfg, n_runs=1)
-    part = _run_block(
-        prob, single_cfg, range(run_index, run_index + 1), horizon, window_start
-    )
-    return _combine_blocks(single_cfg, horizon, window_start, [part])
-
-
 def monte_carlo(
     ensemble: TaskEnsemble, g: Graph, cfg: SimConfig, *, jobs: int = 1
 ) -> SimResult:
@@ -290,4 +249,18 @@ def monte_carlo(
                 for blk in blocks
             ]
             partials = [f.result() for f in futures]
-    return _combine_blocks(cfg, horizon, window_start, partials)
+    sum_reg, sum_tgt, agent_window = partials[0]
+    for part in partials[1:]:  # fixed block order
+        sum_reg += part[0]
+        sum_tgt += part[1]
+        agent_window += part[2]
+    curve_reg = sum_reg / cfg.n_runs
+    curve_tgt = sum_tgt / cfg.n_runs
+    return SimResult(
+        curve_vs_reg=curve_reg,
+        curve_vs_target=curve_tgt,
+        steady_msd_vs_reg=float(curve_reg[window_start:].mean()),
+        steady_msd_vs_target=float(curve_tgt[window_start:].mean()),
+        steady_msd_per_agent_vs_reg=agent_window / (cfg.n_runs * (horizon - window_start)),
+        runs_completed=cfg.n_runs,
+    )

@@ -174,9 +174,13 @@ def load_edge_list(path: str | Path) -> Graph:
     silent overwrite.
     """
     path = Path(path)
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise GraphError(f"{path}: cannot read edge list: {exc}") from exc
     edges: list[tuple[int, int, float]] = []
     max_node = 0
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -106,12 +106,6 @@ class TestTheoryCommand:
         assert not (out / "theory.svg").exists()
         assert (out / "theory_freq_eta2.csv").exists()
 
-    def test_csv_only_format(self, tmp_path):
-        cfg = _write_config(tmp_path, {"output.formats": "csv"})
-        out = tmp_path / "res"
-        assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 0
-        assert not list(out.glob("*.svg"))
-
     def test_multiple_mu_rejected(self, tmp_path):
         cfg = _write_config(tmp_path, {"algo.mu": "0.01, 0.001"})
         assert main(["theory", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
@@ -279,7 +273,90 @@ class TestFilterResponseCommand:
         ) == 2
 
 
+#: per-subcommand overrides of BASE that give each command every one of its files
+COMMAND_OVERRIDES = {
+    "theory": {},
+    "simulate": {"algo.eta": "1"},
+    "bias-scan": {"algo.mu": "1e-3, 1e-4"},
+    "sweep-eta": {"algo.eta": "0, 1, 2", "algo.n_iters": "200", "sweep.spot_check": "true"},
+    "filter-response": {},
+}
+
+
+class TestOutputWriter:
+    @pytest.mark.parametrize("command", sorted(COMMAND_OVERRIDES))
+    def test_csv_only_format(self, tmp_path, command):
+        """output.formats = csv writes no chart and the same CSV files as the
+        default formats; only the config digest differs, since the two config
+        files differ by their output.formats line."""
+        (tmp_path / "both").mkdir()
+        (tmp_path / "only").mkdir()
+        overrides = COMMAND_OVERRIDES[command]
+        both = _write_config(tmp_path / "both", overrides)
+        only = _write_config(tmp_path / "only", {**overrides, "output.formats": "csv"})
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main([command, "--config", str(both), "--out", str(a)]) == 0
+        assert main([command, "--config", str(only), "--out", str(b)]) == 0
+        assert list(a.glob("*.svg")) and not list(b.glob("*.svg"))
+        names = sorted(p.name for p in a.glob("*.csv"))
+        assert names and names == sorted(p.name for p in b.glob("*.csv"))
+
+        def lines(path):
+            text = path.read_text()
+            assert text.count("# config-sha256 = ") == 1
+            return [ln for ln in text.splitlines(True) if not ln.startswith("# config-sha256 = ")]
+
+        for name in names:
+            assert lines(a / name) == lines(b / name)
+
+    def test_failed_command_writes_nothing(self, tmp_path):
+        """A sweep-eta whose spot check diverges exits 4 before any file is
+        written, sweep.csv included."""
+        cfg = _write_config(
+            tmp_path,
+            {
+                "algo.mu": "1.9",
+                "algo.eta": "0",
+                "algo.n_iters": "400",
+                "algo.n_runs": "1",
+                "sweep.spot_check": "true",
+            },
+        )
+        out = tmp_path / "res"
+        assert main(["sweep-eta", "--config", str(cfg), "--out", str(out)]) == 4
+        assert not out.exists()
+
+
 class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "overrides, files",
+        [
+            ({"graph.path": "missing.edges"}, {}),
+            ({"ensemble.profile": "file", "ensemble.profile_path": "missing.txt"}, {}),
+            (
+                {"ensemble.profile": "file", "ensemble.profile_path": "profile.txt"},
+                {"profile.txt": "x y\n"},
+            ),
+            ({"ensemble.target": "file", "ensemble.target_path": "missing.txt"}, {}),
+            ({}, {"res": "a regular file\n"}),
+        ],
+        ids=[
+            "missing-edge-file",
+            "missing-profile-file",
+            "malformed-profile-file",
+            "missing-target-file",
+            "out-is-a-file",
+        ],
+    )
+    def test_unreadable_input_or_unwritable_out_exits_2(
+        self, tmp_path, capsys, overrides, files
+    ):
+        cfg = _write_config(tmp_path, overrides)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert main(["theory", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
     def test_unknown_key_exits_2_without_output(self, tmp_path):
         cfg = _write_config(tmp_path, {"algo.bogus": "1"})
         out = tmp_path / "res"
@@ -290,6 +367,12 @@ class TestErrorPaths:
         assert main(
             ["theory", "--config", str(tmp_path / "nope.conf"), "--out", str(tmp_path)]
         ) == 2
+
+    def test_config_that_is_not_text_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.conf"
+        cfg.write_bytes(b"algo.mu = \xc4\x00\xff\n")
+        assert main(["theory", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_bad_edge_file_exits_2(self, tmp_path):
         cfg = _write_config(tmp_path)

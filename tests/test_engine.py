@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,23 +42,33 @@ def _replay(ensemble, g, mu, eta, n_iters, seed, run_index, *, init=None):
     return out
 
 
+def _replays(ensemble, g, mu, eta, n_iters, seed, n_runs, *, init=None):
+    """Replays of runs 0 .. n_runs-1, stacked as (n_runs, n_iters, N, M).
+
+    monte_carlo(n_runs=r+1) compared with the mean over these checks the
+    Philox key of every run up to r and the run average together."""
+    return np.stack(
+        [_replay(ensemble, g, mu, eta, n_iters, seed, r, init=init) for r in range(n_runs)]
+    )
+
+
 class TestReplayOracle:
     def test_engine_matches_scalar_replay(self, line_graph):
         ens = _uniform_ensemble(5, 3)
         mu, eta, t = 0.05, 1.0, 200
-        cfg = mt.SimConfig(mu=mu, eta=eta, n_iters=t, seed=41)
-        res = engine.run_single(ens, line_graph, cfg, run_index=2)
-        traj = _replay(ens, line_graph, mu, eta, t, 41, 2)
+        cfg = mt.SimConfig(mu=mu, eta=eta, n_iters=t, n_runs=3, seed=41)
+        res = engine.monte_carlo(ens, line_graph, cfg)
+        trajs = _replays(ens, line_graph, mu, eta, t, 41, 3)
         reg = mt.solve_regularized(ens, line_graph, eta).solution.blocks
-        curve = ((traj - reg) ** 2).sum(axis=(1, 2)) / 5
+        curve = ((trajs - reg) ** 2).sum(axis=(2, 3)).mean(axis=0) / 5
         assert np.allclose(res.curve_vs_reg, curve, rtol=1e-9, atol=1e-14)
 
     def test_engine_matches_replay_heterogeneous(self, het_ensemble, bench_graph):
-        cfg = mt.SimConfig(mu=1e-3, eta=5.0, n_iters=100, seed=7)
-        res = engine.run_single(het_ensemble, bench_graph, cfg, run_index=1)
-        traj = _replay(het_ensemble, bench_graph, 1e-3, 5.0, 100, 7, 1)
+        cfg = mt.SimConfig(mu=1e-3, eta=5.0, n_iters=100, n_runs=2, seed=7)
+        res = engine.monte_carlo(het_ensemble, bench_graph, cfg)
+        trajs = _replays(het_ensemble, bench_graph, 1e-3, 5.0, 100, 7, 2)
         tgt = het_ensemble.targets.blocks
-        curve = ((traj - tgt) ** 2).sum(axis=(1, 2)) / 15
+        curve = ((trajs - tgt) ** 2).sum(axis=(2, 3)).mean(axis=0) / 15
         assert np.allclose(res.curve_vs_target, curve, rtol=1e-9, atol=1e-14)
 
     def test_general_kernel_matches_replay_across_chunks(self, line_graph):
@@ -72,19 +83,20 @@ class TestReplayOracle:
             noise_var=rng.uniform(0.05, 0.2, size=n),
         )
         init = rng.standard_normal((n, m))
-        mu, eta, seed, run = 0.05, 1.5, 13, 3
+        mu, eta, seed, runs = 0.05, 1.5, 13, 4
         chunk = engine.CHUNK_ITERS
         t = 2 * chunk + chunk // 2
         cfg = mt.SimConfig(
-            mu=mu, eta=eta, n_iters=t, seed=seed, init=init, steady_window_frac=0.3
+            mu=mu, eta=eta, n_iters=t, n_runs=runs, seed=seed, init=init,
+            steady_window_frac=0.3,
         )
         start = t - cfg.window_length(t)
         assert start % chunk != 0 and start // chunk < t // chunk
-        res = engine.run_single(ens, line_graph, cfg, run_index=run)
-        traj = _replay(ens, line_graph, mu, eta, t, seed, run, init=init)
+        res = engine.monte_carlo(ens, line_graph, cfg)
+        trajs = _replays(ens, line_graph, mu, eta, t, seed, runs, init=init)
         reg = mt.solve_regularized(ens, line_graph, eta).solution.blocks
-        sq_reg = ((traj - reg) ** 2).sum(axis=2)  # (t, n)
-        curve_tgt = ((traj - ens.targets.blocks) ** 2).sum(axis=(1, 2)) / n
+        sq_reg = ((trajs - reg) ** 2).sum(axis=3).mean(axis=0)  # (t, n), run mean
+        curve_tgt = ((trajs - ens.targets.blocks) ** 2).sum(axis=(2, 3)).mean(axis=0) / n
         tol = dict(rtol=1e-9, atol=1e-14)
         assert np.allclose(res.curve_vs_reg, sq_reg.sum(axis=1) / n, **tol)
         assert np.allclose(res.curve_vs_target, curve_tgt, **tol)
@@ -130,26 +142,17 @@ class TestReproducibility:
             serial.steady_msd_per_agent_vs_reg, threaded.steady_msd_per_agent_vs_reg
         )
 
-    def test_monte_carlo_single_run_equals_run_single(self, het_ensemble, bench_graph):
-        cfg = mt.SimConfig(mu=1e-3, eta=2.0, n_iters=80, n_runs=1, seed=3)
-        mc = engine.monte_carlo(het_ensemble, bench_graph, cfg)
-        single = engine.run_single(het_ensemble, bench_graph, cfg, run_index=0)
-        assert np.array_equal(mc.curve_vs_reg, single.curve_vs_reg)
-
     def test_distinct_runs_differ(self, het_ensemble, bench_graph):
+        """The two-run average equals run 0 only if run 1 repeats run 0."""
         cfg = mt.SimConfig(mu=1e-3, eta=2.0, n_iters=50, seed=3)
-        r0 = engine.run_single(het_ensemble, bench_graph, cfg, run_index=0)
-        r1 = engine.run_single(het_ensemble, bench_graph, cfg, run_index=1)
-        assert not np.array_equal(r0.curve_vs_reg, r1.curve_vs_reg)
+        one = engine.monte_carlo(het_ensemble, bench_graph, cfg)
+        two = engine.monte_carlo(het_ensemble, bench_graph, replace(cfg, n_runs=2))
+        assert not np.array_equal(one.curve_vs_reg, two.curve_vs_reg)
 
     def test_seed_changes_results(self, het_ensemble, bench_graph):
         base = dict(mu=1e-3, eta=2.0, n_iters=50)
-        r0 = engine.run_single(
-            het_ensemble, bench_graph, mt.SimConfig(seed=3, **base)
-        )
-        r1 = engine.run_single(
-            het_ensemble, bench_graph, mt.SimConfig(seed=4, **base)
-        )
+        r0 = engine.monte_carlo(het_ensemble, bench_graph, mt.SimConfig(seed=3, **base))
+        r1 = engine.monte_carlo(het_ensemble, bench_graph, mt.SimConfig(seed=4, **base))
         assert not np.array_equal(r0.curve_vs_reg, r1.curve_vs_reg)
 
 
@@ -158,7 +161,7 @@ class TestResultContract:
         cfg = mt.SimConfig(
             mu=1e-3, eta=1.0, n_iters=100, seed=0, steady_window_frac=0.25
         )
-        res = engine.run_single(het_ensemble, bench_graph, cfg)
+        res = engine.monte_carlo(het_ensemble, bench_graph, cfg)
         assert res.steady_msd_vs_reg == pytest.approx(
             res.curve_vs_reg[75:].mean(), rel=1e-12
         )
@@ -176,7 +179,7 @@ class TestResultContract:
         the curve equals the average of N independent single-node recursions."""
         ens = _uniform_ensemble(5, 2)
         cfg = mt.SimConfig(mu=0.05, eta=0.0, n_iters=120, seed=8)
-        res = engine.run_single(ens, line_graph, cfg, run_index=0)
+        res = engine.monte_carlo(ens, line_graph, cfg)
         traj = _replay(ens, line_graph, 0.05, 0.0, 120, 8, 0)
         curve = ((traj - ens.targets.blocks) ** 2).sum(axis=(1, 2)) / 5
         assert np.allclose(res.curve_vs_target, curve, rtol=1e-9, atol=1e-14)
@@ -185,7 +188,7 @@ class TestResultContract:
         # mean-stable (mu < 2 / lambda_max(R_u)) but mean-square divergent
         cfg = mt.SimConfig(mu=1.9, eta=0.0, n_iters=500, seed=0)
         with pytest.raises(mt.NumericalDivergence) as exc:
-            engine.run_single(uni_ensemble, bench_graph, cfg)
+            engine.monte_carlo(uni_ensemble, bench_graph, cfg)
         assert exc.value.run_index == 0
         assert 0 <= exc.value.iteration < 500
 
@@ -239,14 +242,12 @@ class TestConfigAndStability:
         base = dict(mu=1e-3, eta=5.0, n_iters=10, seed=2)
         bad = mt.SimConfig(init=np.zeros(3), **base)
         with pytest.raises(mt.DimensionMismatch):
-            engine.run_single(het_ensemble, bench_graph, bad)
-        with pytest.raises(mt.DimensionMismatch):
             engine.monte_carlo(het_ensemble, bench_graph, bad)
         # a flat vector of N*M values is accepted too
-        flat = engine.run_single(
+        flat = engine.monte_carlo(
             het_ensemble, bench_graph, mt.SimConfig(init=np.zeros(75), **base)
         )
-        default = engine.run_single(het_ensemble, bench_graph, mt.SimConfig(**base))
+        default = engine.monte_carlo(het_ensemble, bench_graph, mt.SimConfig(**base))
         assert np.array_equal(flat.curve_vs_reg, default.curve_vs_reg)
 
     def test_condition_names_and_edge_semantics(self, bench_graph):
@@ -273,7 +274,5 @@ class TestConfigAndStability:
 
     def test_unstable_simulation_refused(self, het_ensemble, bench_graph):
         cfg = mt.SimConfig(mu=1.0, eta=10.0, n_iters=10)
-        with pytest.raises(mt.UnstableConfiguration):
-            engine.run_single(het_ensemble, bench_graph, cfg)
         with pytest.raises(mt.UnstableConfiguration):
             engine.monte_carlo(het_ensemble, bench_graph, cfg)

@@ -130,7 +130,7 @@ def _check_against_oracles(ens, g, eta, mu):
     w_inf = noise_free_recursion(covs, targets, lap, mu, eta)
     offset = (reg.solution.blocks - w_inf).reshape(-1)
     assert np.max(np.abs(offset - rep.bias_vector)) < 1e-12
-    assert float(offset @ offset) == pytest.approx(rep.bias_sq_norm, rel=1e-8)
+    assert float(offset @ offset) == pytest.approx(rep.bias_sq_norm, rel=1e-8, abs=0.0)
 
 
 class TestStructuredCovariances:
@@ -293,7 +293,7 @@ class TestLongTermBias:
         )
         offset = (w_reg - w_inf).reshape(-1)
         assert np.max(np.abs(offset - rep.bias_vector)) < 1e-12
-        assert float(offset @ offset) == pytest.approx(rep.bias_sq_norm, rel=1e-8)
+        assert float(offset @ offset) == pytest.approx(rep.bias_sq_norm, rel=1e-8, abs=0.0)
 
     def test_quartic_in_eta_quadratic_in_mu(self, het_ensemble, bench_graph):
         etas = np.geomspace(1e-3, 1e-2, 6)

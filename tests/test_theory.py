@@ -88,15 +88,15 @@ class TestMsdBar:
     def test_equals_msd_total_at_eta_zero(self, het_ensemble, bench_graph):
         rep = mt.theory_report(het_ensemble, bench_graph, 1e-3, 0.0)
         assert rep.mismatch_sq == 0.0 and rep.bias_cross_term == 0.0
-        assert rep.msd_bar == pytest.approx(rep.msd_total, rel=1e-14)
+        assert rep.msd_bar == pytest.approx(rep.msd_total, rel=1e-14, abs=0.0)
 
     def test_report_identity(self, het_ensemble, bench_graph):
         rep = mt.theory_report(het_ensemble, bench_graph, 1e-3, 5.0)
         assert rep.msd_bar == pytest.approx(
-            rep.msd_total + rep.mismatch_sq / 15 + rep.bias_cross_term, rel=1e-12
+            rep.msd_total + rep.mismatch_sq / 15 + rep.bias_cross_term, rel=1e-12, abs=0.0
         )
         assert rep.msd_noncoop == pytest.approx(
-            mt.msd_noncoop(het_ensemble, 1e-3), rel=1e-14
+            mt.msd_noncoop(het_ensemble, 1e-3), rel=1e-14, abs=0.0
         )
         assert rep.mismatch_sq > 0.0
 
@@ -107,7 +107,7 @@ class TestOptimizeEta:
         assert sweep.eta_star == 0.0
         assert sweep.msd_bar_curve.shape == (1,)
         assert sweep.msd_bar_curve[0] == pytest.approx(
-            mt.theory_report(het_ensemble, bench_graph, 1e-3, 0.0).msd_bar, rel=1e-14
+            mt.theory_report(het_ensemble, bench_graph, 1e-3, 0.0).msd_bar, rel=1e-14, abs=0.0
         )
 
     def test_curve_matches_pointwise_evaluation(self, het_ensemble, bench_graph):
@@ -118,6 +118,7 @@ class TestOptimizeEta:
             assert val == pytest.approx(
                 mt.theory_report(het_ensemble, bench_graph, 1e-3, float(eta)).msd_bar,
                 rel=1e-14,
+                abs=0.0,
             )
         assert sweep.eta_star == grid[np.argmin(sweep.msd_bar_curve)]
 
