@@ -41,12 +41,10 @@ from .graphs import (
     smoothness,
 )
 from .regularized import (
-    BiasReport,
     RegularizedSolution,
     StabilityCondition,
     StabilityVerdict,
     check_stability,
-    long_term_bias,
     require_stable,
     solve_regularized,
 )
@@ -78,7 +76,6 @@ MODULE_VERSIONS = {
 }
 
 __all__ = [
-    "BiasReport",
     "ConfigError",
     "DimensionMismatch",
     "Disconnected",
@@ -110,7 +107,6 @@ __all__ = [
     "gft",
     "igft",
     "load_edge_list",
-    "long_term_bias",
     "make_smooth_target",
     "monte_carlo",
     "msd_noncoop",

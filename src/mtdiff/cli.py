@@ -127,6 +127,14 @@ def _sim_config(cfg: ExperimentConfig, mu: float, eta: float) -> SimConfig:
 
 def cmd_theory(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> Outputs:
     mu = _single(cfg.algo.mu, "algo.mu")
+    slugs: dict[str, float] = {}
+    for eta in cfg.algo.eta:
+        other = slugs.setdefault(_slug(eta), eta)
+        if other != eta:
+            raise ConfigError(
+                f"algo.eta values {other!r} and {eta!r} would both write "
+                f"theory_freq_eta{_slug(eta)}.csv"
+            )
     reports = [theory_report(ens, g, mu, eta) for eta in cfg.algo.eta]
 
     rows = [
@@ -164,8 +172,8 @@ def cmd_theory(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> Outputs:
 def cmd_simulate(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> Outputs:
     mu = _single(cfg.algo.mu, "algo.mu")
     eta = _single(cfg.algo.eta, "algo.eta")
-    report = theory_report(ens, g, mu, eta)
     res = monte_carlo(ens, g, _sim_config(cfg, mu, eta), jobs=cfg.algo.jobs)
+    report = res.theory
 
     t = res.curve_vs_reg.size
     curves = zip(res.curve_vs_reg, res.curve_vs_target)
@@ -177,7 +185,7 @@ def cmd_simulate(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> Outputs:
         Series("theory steady state", [0, t - 1], [report.msd_total] * 2, dash="6 4"),
         Series("theory steady state (targets)", [0, t - 1], [report.msd_bar] * 2, dash="2 3"),
     ]
-    title = f"learning curves (mu={mu:g}, eta={eta:g}, {res.runs_completed} runs)"
+    title = f"learning curves (mu={mu:g}, eta={eta:g}, {cfg.algo.n_runs} runs)"
     chart = dict(title=title, x_label="iteration", y_label="MSD", y_db=cfg.output.db)
     print(
         f"steady msd (vs reg): sim={_db(res.steady_msd_vs_reg)}  "
@@ -207,7 +215,7 @@ def cmd_bias_scan(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> Outputs
         for mu in mus:
             require_stable(ens, g, mu, eta)
         reg = solve_regularized(ens, g, eta)
-        surface[i] = [_long_term_bias(ens, g, mu, reg).bias_sq_norm for mu in mus]
+        surface[i] = [b @ b for b in (_long_term_bias(ens, g, mu, reg) for mu in mus)]
 
     header = ["eta"]
     for mu in mus:
@@ -261,25 +269,20 @@ def cmd_sweep_eta(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> Outputs
     ]
     tables = {"sweep.csv": (["eta", "msd_bar", "msd_total", "mismatch_sq", "bias_cross"], rows)}
 
-    spot: list[tuple[float, float]] = []
+    spot: list[list[float]] = []  # [eta, simulated msd_bar, theory msd_bar]
     if cfg.sweep.spot_check:
-        check_etas = sorted({0.0, sweep.eta_star, float(sweep.etas[-1])})
-        for eta in check_etas:
+        for eta in sorted({0.0, sweep.eta_star, float(sweep.etas[-1])}):
             res = monte_carlo(ens, g, _sim_config(cfg, mu, eta), jobs=cfg.algo.jobs)
-            spot.append((eta, res.steady_msd_vs_target))
-        spot_rows = [
-            [eta, sim_val, float(np.interp(eta, sweep.etas, sweep.msd_bar_curve))]
-            for eta, sim_val in spot
-        ]
+            spot.append([eta, res.steady_msd_vs_target, res.theory.msd_bar])
         spot_header = ["eta", "msd_sim_vs_target", "msd_bar_theory"]
-        tables["sweep_spot_check.csv"] = (spot_header, spot_rows)
+        tables["sweep_spot_check.csv"] = (spot_header, spot)
 
     series = [
         Series("msd_bar (theory)", sweep.etas, sweep.msd_bar_curve),
         Series("optimum", [sweep.eta_star], [float(sweep.msd_bar_curve.min())], markers=True),
     ]
     if spot:
-        sims = [e for e, _ in spot], [v for _, v in spot]
+        sims = [e for e, _, _ in spot], [v for _, v, _ in spot]
         series.append(Series("simulation spot check", *sims, markers=True))
     title = f"regularization sweep (mu={mu:g})"
     chart = dict(title=title, x_label="eta", y_label="MSD vs targets", y_db=cfg.output.db)
@@ -290,7 +293,7 @@ def cmd_sweep_eta(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> Outputs
         f"eta* = {sweep.eta_star:g}  msd_bar(eta*) = {_db(best)}  "
         f"msd_bar(0) = {_db(base)}"
     )
-    for eta, sim_val in spot:
+    for eta, sim_val, _ in spot:
         print(f"spot check eta={eta:g}: sim msd (vs targets) = {_db(sim_val)}")
     return Outputs(tables, {"sweep.svg": (series, chart)}, (f"eta-star = {sweep.eta_star:g}",))
 

@@ -3,8 +3,9 @@
 Each iteration every node takes a stochastic-gradient step on its own data
 (adapt) and then moves toward its neighbors' intermediate estimates, weighted
 by the graph and the regularization strength (combine).  The one entry point,
-``monte_carlo``, refuses an inadmissible (mu, eta) through the stability
-checks of the regularized module.
+``monte_carlo``, reads its (mu, eta) point from one ``theory_report``: that
+call refuses an inadmissible point, solves the offset W0_eta the error curves
+are measured against, and comes back as ``SimResult.theory``.
 
 State layout
 ------------
@@ -19,7 +20,8 @@ normals, maps them to regressors with one batched Cholesky product, and keeps
 its states so the error curves and window sums are reduced once per chunk.
 A block's chunk buffers are a few arrays of at most
 BLOCK_RUNS * CHUNK_ITERS * N * (M+1) floats (about 3 MB each at N=15, M=5)
-whatever the horizon; only the per-iteration curves grow with it.
+whatever the horizon; only the block's two per-iteration float64 curves grow
+with it, and MAX_HORIZON caps them at 160 MB.
 
 Reproducibility contract
 ------------------------
@@ -45,8 +47,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidArgument, NumericalDivergence
 from .graphs import Graph
-from .regularized import require_stable, solve_regularized
 from .tasks import TaskEnsemble
+from .theory import TheoryReport, theory_report
 
 #: Runs per reduction block; fixed (never derived from the worker count) so the
 #: floating-point reduction order is schedule-independent.
@@ -58,6 +60,9 @@ CHUNK_ITERS = 64
 
 #: Per-iteration error threshold beyond which a run is declared divergent.
 DIVERGENCE_GUARD = 1e12
+
+#: Largest horizon monte_carlo accepts, checked before it allocates anything.
+MAX_HORIZON = 10**7
 
 
 def default_horizon(ensemble: TaskEnsemble, mu: float) -> int:
@@ -114,6 +119,7 @@ class SimResult:
     curve_vs_target the same against the unregularized targets; the steady
     values average the final window.  steady_msd_per_agent_vs_reg[k] is node
     k's window-averaged squared error against its regularized block (no 1/N).
+    theory is the closed-form report at the simulated (mu, eta).
     """
 
     curve_vs_reg: np.ndarray
@@ -121,7 +127,7 @@ class SimResult:
     steady_msd_vs_reg: float
     steady_msd_vs_target: float
     steady_msd_per_agent_vs_reg: np.ndarray
-    runs_completed: int
+    theory: TheoryReport
 
 
 class _Problem:
@@ -133,7 +139,9 @@ class _Problem:
     (N, M) each, along a trailing run axis.
     """
 
-    def __init__(self, ensemble: TaskEnsemble, g: Graph, cfg: SimConfig):
+    def __init__(
+        self, ensemble: TaskEnsemble, g: Graph, cfg: SimConfig, w_reg: np.ndarray
+    ):
         n = ensemble.n_agents
         mu, eta = cfg.mu, cfg.eta
         w_tgt = ensemble.targets.blocks
@@ -148,8 +156,7 @@ class _Problem:
         self.sig_v = np.sqrt(ensemble.noise_var)
         self.comb = np.eye(n) - (mu * eta) * g.laplacian
         self.drive = (mu * eta) * (g.laplacian @ w_tgt)
-        reg = solve_regularized(ensemble, g, eta)
-        self.offset = w_tgt - reg.solution.blocks
+        self.offset = w_tgt - w_reg
         init = 0.0 if cfg.init is None else np.reshape(cfg.init, w_tgt.shape)
         self.x_init = w_tgt - init
 
@@ -228,11 +235,17 @@ def monte_carlo(
 
     Runs are partitioned into fixed blocks of BLOCK_RUNS; blocks may execute
     on a thread pool (jobs > 1) but partial sums are always combined in block
-    order, so the result is a pure function of (ensemble, g, cfg).
+    order, so the result is a pure function of (ensemble, g, cfg).  A horizon
+    above MAX_HORIZON raises InvalidArgument.
     """
-    require_stable(ensemble, g, cfg.mu, cfg.eta)
-    prob = _Problem(ensemble, g, cfg)
     horizon = cfg.horizon(ensemble)
+    if horizon > MAX_HORIZON:
+        raise InvalidArgument(
+            f"horizon of {horizon} iterations at mu={cfg.mu:g} exceeds the limit "
+            f"of {MAX_HORIZON} iterations"
+        )
+    report = theory_report(ensemble, g, cfg.mu, cfg.eta)
+    prob = _Problem(ensemble, g, cfg, report.solution.blocks)
     window_start = horizon - cfg.window_length(horizon)
     blocks = [
         range(lo, min(lo + BLOCK_RUNS, cfg.n_runs))
@@ -262,5 +275,5 @@ def monte_carlo(
         steady_msd_vs_reg=float(curve_reg[window_start:].mean()),
         steady_msd_vs_target=float(curve_tgt[window_start:].mean()),
         steady_msd_per_agent_vs_reg=agent_window / (cfg.n_runs * (horizon - window_start)),
-        runs_completed=cfg.n_runs,
+        theory=report,
     )

@@ -4,8 +4,9 @@ The network cost is sum_k J_k(w_k) + (eta/2) * smoothness(W).  For the
 built-in quadratic costs the minimizer solves the SPD linear system
 (H + eta * (L kron I)) W = H W0 with H = blockdiag{R_uk}; the same system
 gives the steady-state offset that the adaptive recursion carries at finite
-step-size.  The step-size stability checks, which the engine and the theory
-module run first, live here too.
+step-size.  The step-size stability checks live here too.  The theory
+module's theory_report is the one caller that checks, solves and computes the
+bias of a (mu, eta) point; the engine and the CLI read its report.
 
 The smoothness penalty acts on each of the M components alike, so only the
 covariances R_uk couple one component to another.  Both (NM)-dimensional
@@ -43,16 +44,6 @@ class RegularizedSolution:
     mismatch_sq: float
     spectral_blocks: np.ndarray
     coupled_cov: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class BiasReport:
-    """Steady-state mean offset of the adaptive recursion from W0_eta."""
-
-    mu: float
-    eta: float
-    bias_vector: np.ndarray
-    bias_sq_norm: float
 
 
 @dataclass(frozen=True)
@@ -207,30 +198,20 @@ def solve_regularized(ensemble: TaskEnsemble, g: Graph, eta: float) -> Regulariz
     )
 
 
-def long_term_bias(
-    ensemble: TaskEnsemble, g: Graph, mu: float, eta: float
-) -> BiasReport:
-    """Steady-state mean offset E[W0_eta - W_inf] of the adaptive recursion.
+def _long_term_bias(
+    ensemble: TaskEnsemble, g: Graph, mu: float, reg: RegularizedSolution
+) -> np.ndarray:
+    """Steady-state mean offset E[W0_eta - W_inf] of the adaptive recursion at
+    an already admissible (mu, eta), given the solution W0_eta at that eta.
 
     Solves (I - B_eta) x = mu^2 eta^2 (L kron I)^2 W0_eta with
     B_eta = (I - mu*eta*L kron I)(I - mu*H_eta), i.e. the fixed point of the
-    noise-free error recursion.  The system is solved, never inverted.
-
-    Raises UnstableConfiguration when any step-size condition fails, naming
-    the violated bounds.
+    noise-free error recursion, and returns x (length NM, node order).  The
+    system is solved, never inverted.
     """
-    require_stable(ensemble, g, mu, eta)
-    return _long_term_bias(ensemble, g, mu, solve_regularized(ensemble, g, eta))
-
-
-def _long_term_bias(
-    ensemble: TaskEnsemble, g: Graph, mu: float, reg: RegularizedSolution
-) -> BiasReport:
-    """long_term_bias at an already admissible point, given its solution."""
     n, m, eta = ensemble.n_agents, ensemble.dim, reg.eta
     if eta == 0.0:
-        bias = np.zeros(n * m)
-        return BiasReport(mu=float(mu), eta=0.0, bias_vector=bias, bias_sq_norm=0.0)
+        return np.zeros(n * m)
     # group g: (I - (I - I_s kron mu eta L)(I - mu H_g)) x_g = rhs_g
     cov = reg.coupled_cov
     groups, s = cov.shape[:2]
@@ -243,10 +224,4 @@ def _long_term_bias(
     rhs = (mu * eta) ** 2 * (lap @ (lap @ reg.solution.blocks))
     rhs = rhs.reshape(n, groups, s, -1).transpose(1, 2, 0, 3).reshape(groups, s * n, -1)
     x = np.linalg.solve(mats, rhs).reshape(groups, s, n, -1)
-    bias = x.transpose(2, 0, 1, 3).reshape(-1)
-    return BiasReport(
-        mu=float(mu),
-        eta=float(eta),
-        bias_vector=bias,
-        bias_sq_norm=float(bias @ bias),
-    )
+    return x.transpose(2, 0, 1, 3).reshape(-1)

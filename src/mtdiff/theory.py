@@ -16,7 +16,9 @@ module, which groups the components once per point and solves each system as
 one stack over those groups: one N x N system with M right-hand sides when
 the covariances are isotropic, M N x N systems for other diagonal ones, one
 (NM) x (NM) system otherwise.  theory_report is the one entry point for a
-(mu, eta) point; optimize_eta evaluates it over a grid.
+(mu, eta) point: it checks stability, solves W0_eta and computes the bias
+once, and its report carries all three.  optimize_eta evaluates it over a
+grid, and the engine's monte_carlo runs against it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument
-from .graphs import Graph
+from .graphs import Graph, StackedSignal
 from .regularized import (
     RegularizedSolution,
     _long_term_bias,
@@ -47,6 +49,8 @@ class TheoryReport:
     mismatch_sq the raw squared norm ||W0_eta - W0||^2 and the cross term
     between the mismatch and the steady-state mean offset.  Large penalties
     can push msd_bar above msd_noncoop when the targets are not smooth.
+    solution is W0_eta; bias_vector is the offset E[W0_eta - W_inf] (length
+    NM, node order) and bias_sq_norm its squared norm.
     """
 
     mu: float
@@ -57,6 +61,9 @@ class TheoryReport:
     msd_bar: float
     mismatch_sq: float
     bias_cross_term: float
+    solution: StackedSignal
+    bias_vector: np.ndarray
+    bias_sq_norm: float
 
 
 def _noise_covariances(ensemble: TaskEnsemble, reg: RegularizedSolution) -> np.ndarray:
@@ -121,7 +128,7 @@ def theory_report(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> Th
     bias = _long_term_bias(ensemble, g, mu, reg)
     n = ensemble.n_agents
     mismatch = ensemble.targets.values - reg.solution.values
-    cross = 2.0 / n * float(mismatch @ bias.bias_vector)
+    cross = 2.0 / n * float(mismatch @ bias)
     return TheoryReport(
         mu=float(mu),
         eta=float(eta),
@@ -131,6 +138,9 @@ def theory_report(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> Th
         msd_bar=msd_total + reg.mismatch_sq / n + cross,
         mismatch_sq=reg.mismatch_sq,
         bias_cross_term=cross,
+        solution=reg.solution,
+        bias_vector=bias,
+        bias_sq_norm=float(bias @ bias),
     )
 
 

@@ -85,7 +85,7 @@ def test_criterion_2_bias_scaling_slopes(het_ensemble, bench_graph):
     etas = np.geomspace(1e-3, 1e-2, 9)
     b_eta = np.array(
         [
-            mt.long_term_bias(het_ensemble, bench_graph, 1e-3, e).bias_sq_norm
+            mt.theory_report(het_ensemble, bench_graph, 1e-3, e).bias_sq_norm
             for e in etas
         ]
     )
@@ -93,7 +93,7 @@ def test_criterion_2_bias_scaling_slopes(het_ensemble, bench_graph):
     mus = np.geomspace(1e-5, 1e-3, 5)
     b_mu = np.array(
         [
-            mt.long_term_bias(het_ensemble, bench_graph, m, 1e-2).bias_sq_norm
+            mt.theory_report(het_ensemble, bench_graph, m, 1e-2).bias_sq_norm
             for m in mus
         ]
     )

@@ -1,4 +1,4 @@
-"""The benchmark's theory and CLI families on the current library.
+"""The benchmark's Monte-Carlo, theory and CLI families on the current library.
 
 bench/workloads.py is imported as it is and its families run at control
 size, so an API, numerics or output change that would make the benchmark fail
@@ -14,6 +14,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 import workloads  # noqa: E402
 from spans import Tracer  # noqa: E402
+
+
+def test_mc_family_is_bitwise_identical_across_jobs(tmp_path):
+    inp = workloads.setup("theory150", seed=5, work=tmp_path, nproc=2)
+    assert workloads._mc_iters(inp) == workloads.MC_ITERS[False]
+    assert inp.jobs == 2  # the two 64-run blocks run on two threads
+    tally = workloads.Tally()
+    workloads._run_mc(inp, Tracer(), tally)
+    # two monte_carlo calls, then the jobs-bitwise check
+    assert (tally.attempted, tally.failed) == (3, 0)
 
 
 def test_theory_family_passes_its_output_checks(tmp_path):

@@ -106,6 +106,16 @@ class TestTheoryCommand:
         assert not (out / "theory.svg").exists()
         assert (out / "theory_freq_eta2.csv").exists()
 
+    def test_colliding_file_names_exit_2(self, tmp_path, capsys):
+        """Distinct etas that print alike would write one per-frequency file."""
+        cfg = _write_config(tmp_path, {"algo.eta": "0, 1.0000001, 1.0000002"})
+        out = tmp_path / "res"
+        assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "1.0000001" in err and "1.0000002" in err
+        assert not out.exists()
+
     def test_multiple_mu_rejected(self, tmp_path):
         cfg = _write_config(tmp_path, {"algo.mu": "0.01, 0.001"})
         assert main(["theory", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
@@ -134,6 +144,17 @@ class TestSimulateCommand:
     def test_unstable_pair_exits_3(self, tmp_path):
         cfg = _write_config(tmp_path, {"algo.mu": "0.1", "algo.eta": "30"})
         assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 3
+
+    def test_horizon_above_budget_exits_2(self, tmp_path, monkeypatch, capsys):
+        def no_block(*args):
+            raise AssertionError("a block was simulated")
+
+        monkeypatch.setattr(mt.engine, "_run_block", no_block)
+        cfg = _write_config(tmp_path, {"algo.eta": "1", "algo.n_iters": "10000001"})
+        out = tmp_path / "res"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: horizon of 10000001")
+        assert not out.exists()
 
     def test_divergence_exits_4(self, tmp_path):
         cfg = _write_config(
@@ -171,7 +192,7 @@ class TestBiasScanCommand:
 
     def test_one_solve_per_eta_and_surface_matches_pairs(self, tmp_path, monkeypatch):
         """W0_eta is solved once per eta for all mu, and every cell equals
-        long_term_bias at its (mu, eta) pair exactly."""
+        the theory_report bias at its (mu, eta) pair exactly."""
         path = _write_config(
             tmp_path, {"algo.mu": "1e-3, 1e-4, 1e-5", "algo.eta": "0, 1, 5"}
         )
@@ -194,7 +215,7 @@ class TestBiasScanCommand:
         _, _, rows = _read_csv(out / "bias_scan.csv")
         for row, eta in zip(rows, cfg.algo.eta, strict=True):
             for j, mu in enumerate(cfg.algo.mu):
-                want = mt.long_term_bias(ens, g, mu, eta).bias_sq_norm
+                want = mt.theory_report(ens, g, mu, eta).bias_sq_norm
                 assert float(row[1 + 2 * j]) == want
 
 

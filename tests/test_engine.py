@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ import pytest
 import mtdiff as mt
 from helpers import make_random_spd, sample, stochastic_gradient
 from mtdiff import engine
+from mtdiff.config import build_ensemble, build_graph, load_config
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _uniform_ensemble(n: int, m: int, *, sigma_v_sq: float = 0.1) -> mt.TaskEnsemble:
@@ -172,7 +176,6 @@ class TestResultContract:
         assert res.steady_msd_per_agent_vs_reg.mean() == pytest.approx(
             res.steady_msd_vs_reg, rel=1e-12
         )
-        assert res.runs_completed == 1
 
     def test_eta_zero_decouples_from_graph(self, line_graph):
         """With no coupling the path graph and an edgeless update coincide:
@@ -205,6 +208,28 @@ class TestConfigAndStability:
         cfg = mt.SimConfig(mu=mu, eta=0.0)
         assert cfg.horizon(het_ensemble) == engine.default_horizon(het_ensemble, mu)
         assert mt.SimConfig(mu=mu, eta=0.0, n_iters=77).horizon(het_ensemble) == 77
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(mu=1e-6), dict(mu=1e-3, n_iters=10**7 + 1)], ids=["mu", "n_iters"]
+    )
+    def test_horizon_above_budget_refused(self, monkeypatch, kwargs):
+        """A horizon above MAX_HORIZON, the default one of a tiny step or an
+        explicit one, is refused before a block is simulated."""
+
+        def no_block(*args):
+            raise AssertionError("a block was simulated")
+
+        monkeypatch.setattr(engine, "_run_block", no_block)
+        cfg = load_config(CONFIGS / "bench15.conf")
+        g = build_graph(cfg)
+        ens = build_ensemble(cfg, g)
+        assert engine.default_horizon(ens, 1e-6) == 37_401_535
+        sim = mt.SimConfig(eta=5.0, **kwargs)
+        with pytest.raises(mt.InvalidArgument) as exc:
+            engine.monte_carlo(ens, g, sim)
+        msg = str(exc.value)
+        assert f"horizon of {sim.horizon(ens)} iterations" in msg
+        assert f"mu={sim.mu:g}" in msg and f"limit of {engine.MAX_HORIZON}" in msg
 
     def test_window_length(self):
         cfg = mt.SimConfig(mu=0.1, eta=0.0, steady_window_frac=0.1)

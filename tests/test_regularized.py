@@ -115,7 +115,7 @@ def _structured_problem(seed: int, kind: str):
 
 def _check_against_oracles(ens, g, eta, mu):
     """solve_regularized against the dense and gradient-descent oracles, and
-    long_term_bias against the noise-free recursion."""
+    theory_report's bias against the noise-free recursion."""
     covs, targets, lap = ens.regressor_cov, ens.targets.blocks, g.laplacian
     reg = mt.solve_regularized(ens, g, eta)
     for oracle in (
@@ -126,7 +126,7 @@ def _check_against_oracles(ens, g, eta, mu):
             np.linalg.norm(oracle), 1e-30
         )
         assert rel < 1e-8
-    rep = mt.long_term_bias(ens, g, mu, eta)
+    rep = mt.theory_report(ens, g, mu, eta)
     w_inf = noise_free_recursion(covs, targets, lap, mu, eta)
     offset = (reg.solution.blocks - w_inf).reshape(-1)
     assert np.max(np.abs(offset - rep.bias_vector)) < 1e-12
@@ -258,14 +258,14 @@ class TestLimits:
 
 class TestLongTermBias:
     def test_zero_at_eta_zero(self, het_ensemble, bench_graph):
-        rep = mt.long_term_bias(het_ensemble, bench_graph, 1e-3, 0.0)
+        rep = mt.theory_report(het_ensemble, bench_graph, 1e-3, 0.0)
         assert rep.bias_sq_norm == 0.0
         assert np.all(rep.bias_vector == 0.0)
 
     def test_fixed_point_equation(self, het_ensemble, bench_graph):
         """x solves (I - B) x = (mu eta)^2 L^2 W0_eta in stacked form."""
         mu, eta = 1e-3, 4.0
-        rep = mt.long_term_bias(het_ensemble, bench_graph, mu, eta)
+        rep = mt.theory_report(het_ensemble, bench_graph, mu, eta)
         reg = mt.solve_regularized(het_ensemble, bench_graph, eta)
         m = het_ensemble.dim
         lap = np.kron(bench_graph.laplacian, np.eye(m))
@@ -280,9 +280,9 @@ class TestLongTermBias:
 
     def test_noise_free_recursion_limit_is_the_bias(self, het_ensemble, bench_graph):
         """The noise-free adapt-then-combine iterate settles at W0_eta minus
-        the bias that long_term_bias predicts."""
+        the bias that theory_report predicts."""
         mu, eta = 0.05, 2.0
-        rep = mt.long_term_bias(het_ensemble, bench_graph, mu, eta)
+        rep = mt.theory_report(het_ensemble, bench_graph, mu, eta)
         w_reg = mt.solve_regularized(het_ensemble, bench_graph, eta).solution.blocks
         w_inf = noise_free_recursion(
             het_ensemble.regressor_cov,
@@ -298,7 +298,7 @@ class TestLongTermBias:
     def test_quartic_in_eta_quadratic_in_mu(self, het_ensemble, bench_graph):
         etas = np.geomspace(1e-3, 1e-2, 6)
         b_eta = [
-            mt.long_term_bias(het_ensemble, bench_graph, 1e-3, e).bias_sq_norm
+            mt.theory_report(het_ensemble, bench_graph, 1e-3, e).bias_sq_norm
             for e in etas
         ]
         slope_eta = np.polyfit(np.log10(etas), np.log10(b_eta), 1)[0]
@@ -306,7 +306,7 @@ class TestLongTermBias:
 
         mus = np.geomspace(1e-5, 1e-3, 5)
         b_mu = [
-            mt.long_term_bias(het_ensemble, bench_graph, m_, 0.01).bias_sq_norm
+            mt.theory_report(het_ensemble, bench_graph, m_, 0.01).bias_sq_norm
             for m_ in mus
         ]
         slope_mu = np.polyfit(np.log10(mus), np.log10(b_mu), 1)[0]
@@ -314,7 +314,7 @@ class TestLongTermBias:
 
     def test_unstable_pair_is_rejected(self, het_ensemble, bench_graph):
         with pytest.raises(mt.UnstableConfiguration) as exc:
-            mt.long_term_bias(het_ensemble, bench_graph, 0.1, 1000.0)
+            mt.theory_report(het_ensemble, bench_graph, 0.1, 1000.0)
         assert "laplacian-spectrum" in str(exc.value) or "neighborhood-weight" in str(
             exc.value
         )

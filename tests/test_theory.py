@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mtdiff as mt
+from mtdiff import cli
 from mtdiff.theory import _noise_covariances
 
 from helpers import (
@@ -139,7 +140,8 @@ class TestOptimizeEta:
 
 
 class TestOneSolvePerPoint:
-    """Every theory entry point checks stability once and solves once per eta."""
+    """Every entry point for a (mu, eta) point, the simulation included,
+    checks stability once and solves once per eta."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -152,7 +154,7 @@ class TestOneSolvePerPoint:
                 counts[_name] += 1
                 return _original(*args, **kwargs)
 
-            for module in (mt.engine, mt.regularized, mt.theory):
+            for module in (cli, mt.engine, mt.regularized, mt.theory):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         return counts
@@ -167,6 +169,23 @@ class TestOneSolvePerPoint:
         assert calls == {"solve_regularized": 3, "check_stability": 3}
         assert [r.eta for r in sweep.reports] == list(grid)
         assert np.array_equal(sweep.msd_bar_curve, [r.msd_bar for r in sweep.reports])
+
+    def test_monte_carlo(self, calls, het_ensemble, bench_graph):
+        cfg = mt.SimConfig(mu=1e-3, eta=5.0, n_iters=50, seed=1)
+        res = mt.monte_carlo(het_ensemble, bench_graph, cfg)
+        assert calls == {"solve_regularized": 1, "check_stability": 1}
+        assert (res.theory.mu, res.theory.eta) == (1e-3, 5.0)
+
+    def test_simulate_command(self, calls, tmp_path):
+        conf = tmp_path / "sim.conf"
+        conf.write_text(
+            "graph.n = 6\ngraph.radius = 0.6\nensemble.dim = 2\n"
+            "ensemble.tau = 2, 3\nalgo.mu = 0.01\nalgo.eta = 1\n"
+            "algo.n_iters = 50\nalgo.n_runs = 2\n"
+        )
+        argv = ["simulate", "--config", str(conf), "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        assert calls == {"solve_regularized": 1, "check_stability": 1}
 
 
 def _uniform_cov_problem(seed: int, n: int = 4, m: int = 2):
