@@ -40,14 +40,6 @@ from .graphs import (
     random_geometric_graph,
     smoothness,
 )
-from .regularized import (
-    RegularizedSolution,
-    StabilityCondition,
-    StabilityVerdict,
-    check_stability,
-    require_stable,
-    solve_regularized,
-)
 from .tasks import (
     TaskEnsemble,
     make_smooth_target,
@@ -57,9 +49,15 @@ from .tasks import (
 )
 from .theory import (
     EtaSweep,
+    RegularizedSolution,
+    StabilityCondition,
+    StabilityVerdict,
     TheoryReport,
+    bias_surface,
+    check_stability,
     msd_noncoop,
     optimize_eta,
+    solve_regularized,
     theory_report,
 )
 
@@ -70,7 +68,6 @@ __version__ = "0.1.0"
 MODULE_VERSIONS = {
     "graphs": 1,
     "tasks": 1,
-    "regularized": 4,
     "engine": 2,
     "theory": 3,
 }
@@ -101,6 +98,7 @@ __all__ = [
     "TheoryReport",
     "UnstableConfiguration",
     "__version__",
+    "bias_surface",
     "build_graph",
     "check_stability",
     "default_horizon",
@@ -112,7 +110,6 @@ __all__ = [
     "msd_noncoop",
     "optimize_eta",
     "random_geometric_graph",
-    "require_stable",
     "scalar_profile",
     "smoothness",
     "solve_regularized",

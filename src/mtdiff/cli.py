@@ -43,10 +43,9 @@ from .errors import (
     UnstableConfiguration,
 )
 from .graphs import Graph, gft
-from .regularized import _long_term_bias, require_stable, solve_regularized
 from .svg import Series, line_chart
 from .tasks import TaskEnsemble
-from .theory import optimize_eta, theory_report
+from .theory import bias_surface, optimize_eta, solve_regularized, theory_report
 
 
 class Outputs(NamedTuple):
@@ -208,14 +207,8 @@ def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def cmd_bias_scan(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> Outputs:
-    mus = cfg.algo.mu
-    etas = cfg.algo.eta
-    surface = np.empty((len(etas), len(mus)))
-    for i, eta in enumerate(etas):  # W0_eta does not depend on mu: one solve per eta
-        for mu in mus:
-            require_stable(ens, g, mu, eta)
-        reg = solve_regularized(ens, g, eta)
-        surface[i] = [b @ b for b in (_long_term_bias(ens, g, mu, reg) for mu in mus)]
+    mus, etas = cfg.algo.mu, cfg.algo.eta
+    surface = bias_surface(ens, g, mus, etas)
 
     header = ["eta"]
     for mu in mus:
@@ -301,7 +294,7 @@ def cmd_sweep_eta(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> Outputs
 def cmd_filter_response(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> Outputs:
     if not ens.is_uniform:
         raise NonUniformProfile("filter-response requires the uniform covariance profile")
-    lam_u_max = float(np.linalg.eigvalsh(ens.regressor_cov[0])[-1])
+    lam_u_max = float(ens.regressor_eigvals[0, -1])
 
     def gain(eta: float, lam: float) -> float:
         return 1.0 / (1.0 + eta * lam / lam_u_max)
@@ -317,7 +310,7 @@ def cmd_filter_response(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> O
     target_rows = []
     for eta in cfg.algo.eta:
         reg = solve_regularized(ens, g, eta)
-        norms = np.linalg.norm(reg.spectral_blocks, axis=1)
+        norms = np.linalg.norm(gft(reg.solution, g).blocks, axis=1)
         for m in range(g.n_agents):
             lam = float(g.eigenvalues[m])
             ratio = float(norms[m] / base_norms[m]) if base_norms[m] > 0.0 else None

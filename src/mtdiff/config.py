@@ -276,6 +276,8 @@ def _validate(sections: dict[str, Any]) -> None:
         raise ConfigError("algo.n_iters >= 0, n_runs >= 1 and jobs >= 1 required")
     if a.seed < 0 or a.seed > 0xFFFFFFFFFFFFFFFF:
         raise ConfigError("algo.seed must fit in an unsigned 64-bit integer")
+    if g.seed < 0 or e.seed < 0:
+        raise ConfigError("graph.seed and ensemble.seed must be >= 0")
     if not (0.0 < a.steady_window_frac <= 1.0):
         raise ConfigError("algo.steady_window_frac must lie in (0, 1]")
     bad = set(o.formats) - {"csv", "svg"}

@@ -67,7 +67,7 @@ MAX_HORIZON = 10**7
 
 def default_horizon(ensemble: TaskEnsemble, mu: float) -> int:
     """Iterations until the slowest error mode has decayed by e^-30."""
-    lam_min = float(np.linalg.eigvalsh(ensemble.regressor_cov).min())
+    lam_min = float(ensemble.regressor_eigvals.min())
     return int(math.ceil(30.0 / (mu * lam_min)))
 
 

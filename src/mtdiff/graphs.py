@@ -231,24 +231,25 @@ def random_geometric_graph(
     heavily-regularized runs stay inside the stability region.
     """
     rng = np.random.default_rng(seed)
-    last_error = "no attempt made"
+    failures: dict[str, int] = {}  # reason -> number of draws it rejected
+    detail = ""
     for _ in range(max_tries):
         pts = rng.random((n, 2))
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
         adj = np.where(d2 <= radius * radius, weight, 0.0)
         np.fill_diagonal(adj, 0.0)
-        if max_degree is not None:
-            counts = (adj > 0).sum(axis=1)
-            if counts.max() > max_degree:
-                last_error = f"degree cap {max_degree} exceeded (max {counts.max()})"
-                continue
-        try:
-            return build_graph(adj)
-        except Disconnected as exc:
-            last_error = str(exc)
+        if max_degree is not None and (adj > 0).sum(axis=1).max() > max_degree:
+            reason = f"over degree cap {max_degree}"
+        else:
+            try:
+                return build_graph(adj)
+            except Disconnected as exc:
+                reason, detail = "disconnected", f" (last: {exc})"
+        failures[reason] = failures.get(reason, 0) + 1
+    counts = ", ".join(f"{v} {k}" for k, v in failures.items()) or "no attempt made"
     raise Disconnected(
         f"no admissible geometric graph in {max_tries} tries "
-        f"(n={n}, radius={radius}): {last_error}"
+        f"(n={n}, radius={radius}): {counts}{detail}"
     )
 
 

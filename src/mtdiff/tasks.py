@@ -25,12 +25,14 @@ class TaskEnsemble:
     regressor_cov has shape (N, M, M) with SPD slices; noise_var holds the
     per-node observation-noise variances.  Cholesky factors are cached at
     construction both to validate positive definiteness and to make sampling
-    cheap.
+    cheap; regressor_eigvals (N, M) holds each covariance's ascending
+    eigenvalues, the curvature spectrum that step-size bounds read.
     """
 
     targets: StackedSignal
     regressor_cov: np.ndarray
     noise_var: np.ndarray
+    regressor_eigvals: np.ndarray = field(init=False, repr=False)
     _chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -55,10 +57,12 @@ class TaskEnsemble:
             chol = np.linalg.cholesky(covs)
         except np.linalg.LinAlgError as exc:
             raise MtdiffError("regressor covariances must be positive definite") from exc
-        for arr in (covs, nv, chol):
+        eigvals = np.linalg.eigvalsh(covs)
+        for arr in (covs, nv, eigvals, chol):
             arr.setflags(write=False)
         object.__setattr__(self, "regressor_cov", covs)
         object.__setattr__(self, "noise_var", nv)
+        object.__setattr__(self, "regressor_eigvals", eigvals)
         object.__setattr__(self, "_chol", chol)
 
     @property

@@ -197,14 +197,13 @@ class TestBiasScanCommand:
             tmp_path, {"algo.mu": "1e-3, 1e-4, 1e-5", "algo.eta": "0, 1, 5"}
         )
         solved = []
-        solve = mt.regularized.solve_regularized
+        solve = mt.theory.solve_regularized
 
         def record(ens, g, eta):
             solved.append(eta)
             return solve(ens, g, eta)
 
-        monkeypatch.setattr(mt.regularized, "solve_regularized", record)
-        monkeypatch.setattr(mt.cli, "solve_regularized", record)
+        monkeypatch.setattr(mt.theory, "solve_regularized", record)
         out = tmp_path / "res"
         assert main(["bias-scan", "--config", str(path), "--out", str(out)]) == 0
         assert solved == [0.0, 1.0, 5.0]
@@ -217,6 +216,13 @@ class TestBiasScanCommand:
             for j, mu in enumerate(cfg.algo.mu):
                 want = mt.theory_report(ens, g, mu, eta).bias_sq_norm
                 assert float(row[1 + 2 * j]) == want
+
+    def test_unstable_pair_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, {"algo.mu": "1e-3", "algo.eta": "0, 1, 1e5"})
+        out = tmp_path / "res"
+        assert main(["bias-scan", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "laplacian-spectrum" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweepEtaCommand:

@@ -91,6 +91,8 @@ def test_syntax_errors_carry_line_numbers(text, fragment):
         "ensemble.sigma_u_range = 2, 1",
         "algo.n_runs = 0",
         "algo.seed = -4",
+        "graph.seed = -1",
+        "ensemble.seed = -1",
         "algo.steady_window_frac = 0",
         "output.formats = csv, pdf",
         "filter.lambda_points = 1",

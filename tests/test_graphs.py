@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -178,6 +180,17 @@ class TestGenerator:
         for seed in range(5):
             g = mt.random_geometric_graph(12, 0.4, seed=seed)
             assert g.eigenvalues[1] > CONNECTIVITY_TOLERANCE
+
+    def test_failure_message_counts_every_reason(self):
+        """Subnormal weights leave every capped draw disconnected, so the
+        message names both reasons and counts every draw."""
+        with pytest.raises(mt.Disconnected) as exc:
+            mt.random_geometric_graph(15, 0.35, weight=1e-320, seed=9, max_degree=5)
+        msg = str(exc.value)
+        counts = re.findall(r"(\d+) (over degree cap 5|disconnected)", msg)
+        assert {reason for _, reason in counts} == {"over degree cap 5", "disconnected"}
+        assert sum(int(k) for k, _ in counts) == 100
+        assert "lambda_2" in msg
 
     def test_gives_up_after_max_tries(self):
         with pytest.raises(mt.Disconnected):

@@ -75,11 +75,6 @@ class TestSolveRegularized:
         with pytest.raises(ValueError):
             mt.solve_regularized(het_ensemble, bench_graph, -1.0)
 
-    def test_spectral_blocks_match_transform(self, het_ensemble, bench_graph):
-        reg = mt.solve_regularized(het_ensemble, bench_graph, 2.0)
-        direct = mt.gft(reg.solution, bench_graph).blocks
-        assert np.max(np.abs(reg.spectral_blocks - direct)) < 1e-12
-
     @settings(max_examples=30)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 1.0, 25.0]))
     def test_optimality_property(self, seed, eta):
@@ -169,13 +164,13 @@ class TestStructuredCovariances:
         n, m = ens.n_agents, ens.dim
         assert m > 1
         shapes = []
-        solve = mt.regularized._spd_solve
+        solve = mt.theory._spd_solve
 
         def record(mat, rhs):
             shapes.append((mat.shape, rhs.shape))
             return solve(mat, rhs)
 
-        monkeypatch.setattr(mt.regularized, "_spd_solve", record)
+        monkeypatch.setattr(mt.theory, "_spd_solve", record)
         rep = mt.theory_report(ens, g, 0.05, 1.0)
         assert np.isfinite(rep.msd_bar) and rep.bias_cross_term != 0.0
         want = {
@@ -193,7 +188,7 @@ class TestSpdSolve:
         rng = np.random.default_rng(0)
         mats = np.stack([make_random_spd(rng, 4) for _ in range(3)])
         rhs = rng.standard_normal((3, 4, 2))
-        got = mt.regularized._spd_solve(mats, rhs)
+        got = mt.theory._spd_solve(mats, rhs)
         for a, b, x in zip(mats, rhs, got):
             assert np.max(np.abs(a @ x - b)) < 1e-12
 
@@ -203,7 +198,7 @@ class TestSpdSolve:
         odd = np.array([[1.0, -0.9], [1.5, 1.0]])
         mats = np.stack([np.eye(2), odd])
         rhs = np.ones((2, 2, 1))
-        got = mt.regularized._spd_solve(mats, rhs)
+        got = mt.theory._spd_solve(mats, rhs)
         sym = 0.5 * (odd + odd.T)
         assert np.max(np.abs(sym @ got[1] - rhs[1])) < 1e-12
         assert np.allclose(got[0], rhs[0], rtol=0.0, atol=1e-15)
@@ -211,7 +206,7 @@ class TestSpdSolve:
     def test_singular_member_of_stack_raises(self):
         mats = np.stack([np.eye(2), np.ones((2, 2))])
         with pytest.raises(mt.SingularSystem):
-            mt.regularized._spd_solve(mats, np.ones((2, 2, 1)))
+            mt.theory._spd_solve(mats, np.ones((2, 2, 1)))
 
 
 class TestLimits:
@@ -233,9 +228,9 @@ class TestLimits:
 
     def test_spectral_filter_matches_direct_solve(self, uni_ensemble, bench_graph):
         for eta in (0.0, 1.0, 20.0):
-            direct = mt.solve_regularized(uni_ensemble, bench_graph, eta)
+            direct = mt.solve_regularized(uni_ensemble, bench_graph, eta).solution
             filtered = spectral_filter_solution(uni_ensemble, bench_graph, eta)
-            assert np.max(np.abs(direct.spectral_blocks - filtered)) < 1e-10
+            assert np.max(np.abs(mt.gft(direct, bench_graph).blocks - filtered)) < 1e-10
 
     def test_filter_ratio_bound_and_monotonicity(self, uni_ensemble, bench_graph):
         """Per-frequency attenuation obeys 1/(1 + eta*lam/lam_max(R_u))."""
@@ -246,7 +241,7 @@ class TestLimits:
         prev = None
         for eta in (0.0, 0.5, 2.0, 8.0, 32.0):
             reg = mt.solve_regularized(uni_ensemble, bench_graph, eta)
-            norms = np.linalg.norm(reg.spectral_blocks, axis=1)
+            norms = np.linalg.norm(mt.gft(reg.solution, bench_graph).blocks, axis=1)
             ratio = norms / base
             bound = 1.0 / (1.0 + eta * bench_graph.eigenvalues / lam_u_max)
             assert np.all(ratio <= bound + 1e-12)

@@ -59,6 +59,12 @@ class TestProfiles:
         assert np.all((diag >= 0.8) & (diag <= 1.2))
         assert np.all((e1.noise_var >= 0.05) & (e1.noise_var <= 0.15))
 
+    def test_curvature_spectrum_is_stored_read_only(self, het_ensemble):
+        eigvals = het_ensemble.regressor_eigvals
+        assert eigvals.shape == (15, 5) and not eigvals.flags.writeable
+        for cov, vals in zip(het_ensemble.regressor_cov, eigvals):
+            assert np.array_equal(vals, np.linalg.eigvalsh(cov))
+
     def test_rejects_not_spd(self, smooth_targets):
         covs = np.broadcast_to(np.eye(5), (15, 5, 5)).copy()
         covs[3] = -np.eye(5)

@@ -154,7 +154,7 @@ class TestOneSolvePerPoint:
                 counts[_name] += 1
                 return _original(*args, **kwargs)
 
-            for module in (cli, mt.engine, mt.regularized, mt.theory):
+            for module in (cli, mt.engine, mt.theory):
                 if getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         return counts
@@ -186,6 +186,25 @@ class TestOneSolvePerPoint:
         argv = ["simulate", "--config", str(conf), "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 0
         assert calls == {"solve_regularized": 1, "check_stability": 1}
+
+
+class TestBiasSurface:
+    def test_unstable_pair_raises_before_any_solve(
+        self, monkeypatch, het_ensemble, bench_graph
+    ):
+        solved = []
+        solve = mt.theory.solve_regularized
+
+        def record(ens, g, eta):
+            solved.append(eta)
+            return solve(ens, g, eta)
+
+        monkeypatch.setattr(mt.theory, "solve_regularized", record)
+        with pytest.raises(mt.UnstableConfiguration) as exc:
+            mt.bias_surface(het_ensemble, bench_graph, [1e-3, 1e-4], [0.0, 1.0, 1e6])
+        assert "laplacian-spectrum" in exc.value.failed
+        assert "laplacian-spectrum" in str(exc.value)
+        assert solved == []
 
 
 def _uniform_cov_problem(seed: int, n: int = 4, m: int = 2):
