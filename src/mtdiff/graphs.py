@@ -95,13 +95,11 @@ class Graph:
 def _fix_eigenvector_signs(vecs: np.ndarray) -> np.ndarray:
     """Flip each column so its first component larger than the tolerance is
     positive.  Removes the arbitrary sign so spectral output is reproducible."""
-    out = vecs.copy()
-    for m in range(out.shape[1]):
-        col = out[:, m]
-        nz = np.nonzero(np.abs(col) > _SIGN_TOLERANCE)[0]
-        if nz.size and col[nz[0]] < 0.0:
-            out[:, m] = -col
-    return out
+    big = np.abs(vecs) > _SIGN_TOLERANCE
+    lead = np.argmax(big, axis=0)  # row 0 for a column with no large entry
+    cols = np.arange(vecs.shape[1])
+    flip = big[lead, cols] & (vecs[lead, cols] < 0.0)
+    return np.where(flip, -vecs, vecs)
 
 
 def build_graph(adjacency: np.ndarray) -> Graph:

@@ -135,10 +135,10 @@ def line_chart(
     px0, px1 = _MARGIN_L, width - _MARGIN_R
     py0, py1 = height - _MARGIN_B, _MARGIN_T  # y grows downward in SVG
 
-    def sx(v: float) -> float:
+    def sx(v):  # a float or an array, elementwise
         return px0 + (v - x_lo) / (x_hi - x_lo) * (px1 - px0)
 
-    def sy(v: float) -> float:
+    def sy(v):
         return py0 + (v - y_lo) / (y_hi - y_lo) * (py1 - py0)
 
     out: list[str] = []
@@ -217,7 +217,8 @@ def line_chart(
     out.append('<g clip-path="url(#plot)">')
     for i, (s, x, y) in enumerate(plots):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{_px(sx(a))},{_px(sy(b))}" for a, b in zip(x, y))
+        xs, ys = sx(x).tolist(), sy(y).tolist()  # same operation order per point
+        pts = " ".join(map("{:.2f},{:.2f}".format, xs, ys))
         dash = f' stroke-dasharray="{s.dash}"' if s.dash else ""
         if x.size > 1:
             out.append(
@@ -225,9 +226,9 @@ def line_chart(
                 f'stroke-width="1.6"{dash}/>'
             )
         if s.markers or x.size == 1:
-            for a, b in zip(x, y):
+            for a, b in zip(xs, ys):
                 out.append(
-                    f'<circle cx="{_px(sx(a))}" cy="{_px(sy(b))}" r="3" '
+                    f'<circle cx="{_px(a)}" cy="{_px(b)}" r="3" '
                     f'fill="{color}"/>'
                 )
     out.append("</g>")

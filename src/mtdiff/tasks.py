@@ -26,13 +26,16 @@ class TaskEnsemble:
     per-node observation-noise variances.  Cholesky factors are cached at
     construction both to validate positive definiteness and to make sampling
     cheap; regressor_eigvals (N, M) holds each covariance's ascending
-    eigenvalues, the curvature spectrum that step-size bounds read.
+    eigenvalues, the curvature spectrum that step-size bounds read, and
+    coupled_cov the covariances grouped by coupled components (see
+    _coupled_covariances), the layout every steady-state solve reads.
     """
 
     targets: StackedSignal
     regressor_cov: np.ndarray
     noise_var: np.ndarray
     regressor_eigvals: np.ndarray = field(init=False, repr=False)
+    coupled_cov: np.ndarray = field(init=False, repr=False)
     _chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -58,11 +61,13 @@ class TaskEnsemble:
         except np.linalg.LinAlgError as exc:
             raise MtdiffError("regressor covariances must be positive definite") from exc
         eigvals = np.linalg.eigvalsh(covs)
-        for arr in (covs, nv, eigvals, chol):
+        coupled = _coupled_covariances(covs)
+        for arr in (covs, nv, eigvals, coupled, chol):
             arr.setflags(write=False)
         object.__setattr__(self, "regressor_cov", covs)
         object.__setattr__(self, "noise_var", nv)
         object.__setattr__(self, "regressor_eigvals", eigvals)
+        object.__setattr__(self, "coupled_cov", coupled)
         object.__setattr__(self, "_chol", chol)
 
     @property
@@ -77,6 +82,22 @@ class TaskEnsemble:
     def is_uniform(self) -> bool:
         """True when every node shares the same regressor covariance."""
         return bool(np.all(self.regressor_cov == self.regressor_cov[0]))
+
+
+def _coupled_covariances(covs: np.ndarray) -> np.ndarray:
+    """The (N, M, M) covariances over G groups of s coupled components, as a
+    (G, s, s, N) stack with entry [g, k, l, a] = R_ua[j, j'] for components
+    j = (g*s + k)*r + c and j' = (g*s + l)*r + c, where r = M / (G*s).
+
+    s = 1 when every R_uk is exactly diagonal, with G = 1 if the M diagonals
+    are equal, else G = M; otherwise s = M (one group).  The stack is
+    C-contiguous, so the system matrices built from it are too.
+    """
+    diag = np.diagonal(covs, axis1=1, axis2=2)
+    if not np.array_equal(covs, diag[:, :, None] * np.eye(covs.shape[1])):
+        return np.ascontiguousarray(covs.transpose(1, 2, 0)[None])
+    diag = diag[:, :1] if np.all(diag == diag[:, :1]) else diag
+    return np.ascontiguousarray(diag.T[:, None, None, :])
 
 
 def make_smooth_target(g: Graph, tau: np.ndarray, dim: int) -> StackedSignal:

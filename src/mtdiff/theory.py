@@ -17,15 +17,25 @@ term), a grid optimizer for the penalty strength and the bias surface over a
 
 The per-node and per-frequency terms are batched over all nodes and
 frequencies for every covariance profile: one stacked formula gives the
-gradient-noise covariances, and each predictor is one stacked M x M solve plus
-a trace.  The smoothness penalty acts on each of the M components alike, so
-only the covariances R_uk couple one component to another.  W0_eta and the
-bias are therefore written once, in component-major order, over G groups of s
-coupled components and solved as one (G, sN, sN) stack with r = M/(Gs)
-right-hand sides each.  Isotropic R_uk = sigma_k^2 I (every bundled config)
-give the M components one shared N x N system, factored once for M
-right-hand sides; other diagonal R_uk give M N x N systems, and any other
-covariance one group of all M components: one (NM) x (NM) system.
+gradient-noise covariances, and each predictor is one stacked solve plus a
+trace.  The smoothness penalty acts on each of the M components alike, so
+only the covariances R_uk couple one component to another.  The ensemble
+groups them once (TaskEnsemble.coupled_cov) into G groups of s coupled
+components, with r = M/(Gs) copies of each group sharing its covariances.
+W0_eta and the bias are written once, in component-major order, over those
+groups and solved as one (G, sN, sN) stack with r right-hand sides each, and
+the curvature at each frequency is block-diagonal over the same groups, so
+its trace needs only the matching (s, s) diagonal blocks of the noise:
+N * G * r solves of size s.
+Isotropic R_uk = sigma_k^2 I (every bundled config) give the M components
+one shared N x N system, factored once for M right-hand sides, and N * M
+scalar per-frequency terms; other diagonal R_uk give M N x N systems, and
+any other covariance one group of all M components: one (NM) x (NM) system
+and N dense M x M per-frequency solves.  The W0_eta stack is certified well
+conditioned from the curvature spectrum and the Laplacian's largest
+eigenvalue, without a factorization, before its one LU solve; a stack the
+bound cannot certify is solved through a symmetric eigendecomposition, which
+raises SingularSystem when the stack is numerically singular.
 
 theory_report is the one entry point for a (mu, eta) point: it checks
 stability, solves W0_eta and computes the bias once, and its report carries
@@ -45,6 +55,8 @@ import numpy as np
 from .errors import InvalidArgument, SingularSystem, UnstableConfiguration
 from .graphs import Graph, StackedSignal
 from .tasks import TaskEnsemble
+
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -142,40 +154,28 @@ class RegularizedSolution:
     mismatch_sq: float
 
 
-def _coupled_covariances(ensemble: TaskEnsemble) -> np.ndarray:
-    """The covariances over G groups of s coupled components, as a (G, s, s, N)
-    stack with entry [g, k, l, a] = R_ua[j, j'] for components
-    j = (g*s + k)*r + c and j' = (g*s + l)*r + c, where r = M / (G*s).
+def _spd_solve(mat: np.ndarray, rhs: np.ndarray, kappa: float = math.inf) -> np.ndarray:
+    """Solve an SPD system, or a stack of them.
 
-    s = 1 when every R_uk is exactly diagonal, with G = 1 if the M diagonals
-    are equal, else G = M; otherwise s = M (one group).  The stack is
-    C-contiguous, so the system matrices built from it are too.
+    mat has shape (..., n, n) and rhs (..., n, k); kappa bounds the 2-norm
+    condition number of every matrix in the stack.  When kappa * n(n+1) * u
+    <= 1/2 (u the unit roundoff), floating-point Cholesky provably completes
+    (a conservative form of Demmel's condition, Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., sec. 10.1), so the stack is solved at
+    once by LU.  Otherwise it is solved through the eigendecomposition of its
+    symmetric part, and SingularSystem is raised when an eigenvalue is not
+    above 1e-14 times the largest (or 1, if larger).
     """
-    covs = ensemble.regressor_cov
-    diag = np.diagonal(covs, axis1=1, axis2=2)
-    if not np.array_equal(covs, diag[:, :, None] * np.eye(ensemble.dim)):
-        return np.ascontiguousarray(covs.transpose(1, 2, 0)[None])
-    diag = diag[:, :1] if np.all(diag == diag[:, :1]) else diag
-    return np.ascontiguousarray(diag.T[:, None, None, :])
-
-
-def _spd_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve an SPD system, or a stack of them, certifying with Cholesky and
-    falling back to a symmetric eigendecomposition if the factorization fails.
-
-    mat has shape (..., n, n) and rhs (..., n, k).
-    """
-    try:
-        np.linalg.cholesky(mat)
+    n = mat.shape[-1]
+    if kappa * n * (n + 1) * _UNIT_ROUNDOFF <= 0.5:
         return np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(0.5 * (mat + np.swapaxes(mat, -1, -2)))
-        top = np.maximum(1.0, vals.max(axis=-1, keepdims=True))
-        if np.any(vals <= 1e-14 * top):
-            raise SingularSystem(
-                f"system matrix is numerically singular (min eig {vals.min():.3e})"
-            )
-        return vecs @ ((np.swapaxes(vecs, -1, -2) @ rhs) / vals[..., None])
+    vals, vecs = np.linalg.eigh(0.5 * (mat + np.swapaxes(mat, -1, -2)))
+    top = np.maximum(1.0, vals.max(axis=-1, keepdims=True))
+    if np.any(vals <= 1e-14 * top):
+        raise SingularSystem(
+            f"system matrix is numerically singular (min eig {vals.min():.3e})"
+        )
+    return vecs @ ((np.swapaxes(vecs, -1, -2) @ rhs) / vals[..., None])
 
 
 def solve_regularized(ensemble: TaskEnsemble, g: Graph, eta: float) -> RegularizedSolution:
@@ -191,7 +191,7 @@ def solve_regularized(ensemble: TaskEnsemble, g: Graph, eta: float) -> Regulariz
     if eta == 0.0:
         sol = StackedSignal(n, m, targets)
     else:  # group g: (I_s kron eta L + H_g) w_g = H_g w0_g
-        cov = _coupled_covariances(ensemble)
+        cov = ensemble.coupled_cov
         groups, s = cov.shape[:2]
         mats = np.zeros((groups, s, n, s, n))
         # einsum with a repeated index returns a writable view of that diagonal
@@ -199,7 +199,12 @@ def solve_regularized(ensemble: TaskEnsemble, g: Graph, eta: float) -> Regulariz
         np.einsum("gkala->gkla", mats)[...] += cov
         w0 = ensemble.targets.blocks.reshape(n, groups, s, -1)  # [a, g, l, c]
         rhs = np.einsum("gkla,aglc->gkac", cov, w0).reshape(groups, s * n, -1)
-        w = _spd_solve(mats.reshape(groups, s * n, s * n), rhs).reshape(groups, s, n, -1)
+        curv = ensemble.regressor_eigvals
+        r_min, r_max = float(curv.min()), float(curv.max())
+        # Weyl: L is PSD and the spectrum of H_g lies in [r_min, r_max]
+        kappa = (eta * g.lambda_max + r_max) / r_min if r_min > 0.0 else math.inf
+        w = _spd_solve(mats.reshape(groups, s * n, s * n), rhs, kappa)
+        w = w.reshape(groups, s, n, -1)
         sol = StackedSignal.from_blocks(w.transpose(2, 0, 1, 3).reshape(n, m))
     mismatch = sol.values - targets
     return RegularizedSolution(
@@ -222,7 +227,7 @@ def _long_term_bias(
     if eta == 0.0:
         return np.zeros(n * m)
     # group g: (I - (I - I_s kron mu eta L)(I - mu H_g)) x_g = rhs_g
-    cov = _coupled_covariances(ensemble)
+    cov = ensemble.coupled_cov
     groups, s = cov.shape[:2]
     lap = g.laplacian
     combine = np.eye(n) - mu * eta * lap
@@ -280,24 +285,35 @@ def _noise_covariances(ensemble: TaskEnsemble, reg: RegularizedSolution) -> np.n
 
 
 def _frequency_weighted(g: Graph, stack: np.ndarray) -> np.ndarray:
-    """Per-frequency mixtures sum_k v_m(k)^2 X_k of an (N, M, M) node stack."""
-    n, m = stack.shape[:2]
-    return ((g.eigenvectors**2).T @ stack.reshape(n, m * m)).reshape(n, m, m)
+    """Per-frequency mixtures sum_k v_m(k)^2 X_k of a node-first (N, ...) stack."""
+    n = stack.shape[0]
+    return ((g.eigenvectors**2).T @ stack.reshape(n, -1)).reshape(stack.shape)
 
 
 def _trace_solve(mu: float, curvature: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """mu/(2N) * Tr(curvature_m^{-1} noise_m) for each of the N stacked pairs."""
+    """mu/(2N) * sum_{g,c} Tr(curvature_{m,g}^{-1} noise_{m,g,c}) for each of
+    the N frequencies, with curvature (N, G, s, s) and noise (N, G, r, s, s)."""
     n = curvature.shape[0]
-    return mu / (2.0 * n) * np.trace(np.linalg.solve(curvature, noise), axis1=1, axis2=2)
+    solved = np.linalg.solve(curvature[:, :, None], noise)
+    return mu / (2.0 * n) * np.trace(solved, axis1=3, axis2=4).sum(axis=(1, 2))
 
 
 def _per_frequency_terms(
     ensemble: TaskEnsemble, g: Graph, mu: float, reg: RegularizedSolution
 ) -> np.ndarray:
-    """Summands of the steady-state predictor, one per graph frequency."""
-    noise = _frequency_weighted(g, _noise_covariances(ensemble, reg))
-    shift = reg.eta * g.eigenvalues[:, None, None] * np.eye(ensemble.dim)
-    curvature = _frequency_weighted(g, ensemble.regressor_cov) + shift
+    """Summands of the steady-state predictor, one per graph frequency.
+
+    The curvature at frequency m is block-diagonal over the coupled groups,
+    so only the matching (s, s) diagonal blocks of the noise enter the trace.
+    """
+    cov = ensemble.coupled_cov
+    n, groups, s = ensemble.n_agents, cov.shape[0], cov.shape[1]
+    r = ensemble.dim // (groups * s)
+    noise = _noise_covariances(ensemble, reg).reshape(n, groups, s, r, groups, s, r)
+    # the repeated g and c take the (s, s) block of group g, copy c
+    noise = _frequency_weighted(g, np.einsum("agkcglc->agckl", noise))
+    shift = reg.eta * g.eigenvalues[:, None, None, None] * np.eye(s)
+    curvature = _frequency_weighted(g, cov.transpose(3, 0, 1, 2)) + shift
     return _trace_solve(mu, curvature, noise)
 
 

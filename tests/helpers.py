@@ -7,9 +7,10 @@ gradient descent, through one explicit dense (NM) x (NM) solve and, for
 uniform profiles, through per-frequency filtering, the noise-covariance oracle
 through brute-force sampling, the steady-state bias oracle through the
 noise-free recursion itself, the steady-state MSD oracles through the full
-matrix series and through the uniform-profile per-frequency sum, the
-non-cooperative MSD through its trace formula, and the replay oracle's
-sampler through its own Cholesky factors.
+matrix series, through the uniform-profile per-frequency sum and through
+dense M x M per-frequency solves, the non-cooperative MSD through its trace
+formula, the replay oracle's sampler through its own Cholesky factors, and the
+eigenvector sign convention through a per-column loop.
 Keep it that way: the moment an oracle shares a code path with the production
 routine, the corresponding test stops being evidence.
 """
@@ -201,6 +202,25 @@ def uniform_msd(ensemble, g, mu: float, eta: float) -> float:
     return mu / (2.0 * n) * total
 
 
+def dense_frequency_msd(
+    ensemble, g, mu: float, eta: float, solution: np.ndarray
+) -> np.ndarray:
+    """Per-frequency steady-state MSD terms from dense M x M matrices.
+
+    Term m is mu/(2N) * Tr(C_m^{-1} N_m) with C_m = sum_k v_m(k)^2 R_k +
+    eta * lambda_m I and N_m = sum_k v_m(k)^2 R_s,k, whatever the covariances
+    look like; the gradient-noise covariances R_s,k are evaluated at the
+    (N, M) `solution`.  Returns the length-N array of terms.
+    """
+    n, m = ensemble.n_agents, ensemble.dim
+    weights = (g.eigenvectors**2).T  # [frequency, node]
+    node_noise = np.stack(gradient_noise_covariances(ensemble, solution))
+    noise = np.einsum("mk,kij->mij", weights, node_noise)
+    curvature = np.einsum("mk,kij->mij", weights, ensemble.regressor_cov)
+    curvature += eta * g.eigenvalues[:, None, None] * np.eye(m)
+    return mu / (2.0 * n) * np.trace(np.linalg.solve(curvature, noise), axis1=1, axis2=2)
+
+
 def noncoop_trace_msd(ensemble, mu: float) -> float:
     """Non-cooperative steady-state MSD as mu/(2N) * sum_k Tr(R_k^{-1} R_s,k)
     with R_s,k = sigma_v,k^2 R_k, the noise floor at each node's own target."""
@@ -334,6 +354,18 @@ def dense_quadratic_smoothness(blocks: np.ndarray, laplacian: np.ndarray) -> flo
     big = np.kron(laplacian, np.eye(m))
     w = blocks.reshape(-1)
     return float(w @ big @ w)
+
+
+def fix_eigenvector_signs_loop(vecs: np.ndarray, tol: float) -> np.ndarray:
+    """Flip each column, one at a time, so that its first entry larger than
+    tol in magnitude is positive; columns with no such entry stay as they are."""
+    out = vecs.copy()
+    for m in range(out.shape[1]):
+        col = out[:, m]
+        nz = np.nonzero(np.abs(col) > tol)[0]
+        if nz.size and col[nz[0]] < 0.0:
+            out[:, m] = -col
+    return out
 
 
 def make_random_spd(rng: np.random.Generator, m: int, eig_range=(0.5, 2.0)) -> np.ndarray:

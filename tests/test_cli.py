@@ -442,6 +442,23 @@ class TestErrorPaths:
         assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_vanishing_regressor_power_exits_4(self, tmp_path, capsys):
+        """Every config value is valid, but sigma_u^2 = 1e-300 leaves the
+        penalty's singular Laplacian alone in the solve: exit 4, no output."""
+        cfg = _write_config(
+            tmp_path,
+            {
+                "ensemble.profile": "scalar",
+                "ensemble.sigma_u_range": "1e-300, 1e-300",
+                "ensemble.sigma_v_range": "0.05, 0.15",
+            },
+            drop=("ensemble.sigma_u_sq", "ensemble.sigma_v_sq"),
+        )
+        out = tmp_path / "r"
+        assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 4
+        assert "numerically singular" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_seed_override_exits_2(self, tmp_path):
         cfg = _write_config(tmp_path)
         assert main(

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mtdiff as mt
-from mtdiff.graphs import CONNECTIVITY_TOLERANCE
+from mtdiff.graphs import _SIGN_TOLERANCE, CONNECTIVITY_TOLERANCE, _fix_eigenvector_signs
 
 from helpers import (
     charpoly_eigenvalues,
+    fix_eigenvector_signs_loop,
     random_connected_adjacency,
 )
 
@@ -49,6 +50,32 @@ class TestBuildGraph:
         for col in bench_graph.eigenvectors.T:
             nonzero = col[np.abs(col) > 1e-12]
             assert nonzero[0] > 0
+
+    @settings(max_examples=30)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40))
+    def test_sign_fix_matches_column_loop(self, seed, n):
+        """Bitwise, sign bits included, on random orthogonal matrices."""
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+        got = _fix_eigenvector_signs(q)
+        assert got.tobytes() == fix_eigenvector_signs_loop(q, _SIGN_TOLERANCE).tobytes()
+
+    def test_sign_fix_skips_entries_at_or_below_tolerance(self):
+        tol = _SIGN_TOLERANCE
+        cols = np.array(
+            [
+                [tol, -tol, -0.5, 0.1],  # leading entries at the tolerance
+                [-1e-13, 0.7, -0.2, 0.0],  # starts with -1e-13
+                [-1e-13, 1e-13, 0.0, -0.0],  # all tiny: left as it is
+                [-0.0, -1e-13, 1e-13, -0.0],  # all tiny, with signed zeros
+                [0.0, -2.0 * tol, 0.3, 0.0],  # first entry above the tolerance
+            ]
+        ).T
+        got = _fix_eigenvector_signs(cols)
+        want = fix_eigenvector_signs_loop(cols, tol)
+        assert got.tobytes() == want.tobytes()
+        assert got[2, 0] == 0.5 and got[1, 1] == 0.7 and got[1, 4] == 2.0 * tol
+        assert got[:, 2].tobytes() == cols[:, 2].tobytes()
+        assert got[:, 3].tobytes() == cols[:, 3].tobytes()
 
     def test_laplacian_rows_sum_to_zero(self, bench_graph):
         g = bench_graph

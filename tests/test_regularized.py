@@ -128,6 +128,20 @@ def _check_against_oracles(ens, g, eta, mu):
     assert float(offset @ offset) == pytest.approx(rep.bias_sq_norm, rel=1e-8, abs=0.0)
 
 
+KINDS = ["diagonal", "isotropic", "uniform", "uniform_profile", "full"]
+
+
+def _kind_problem(kind: str):
+    """One small problem per covariance structure, each with M > 1: full
+    random SPD, the three structured kinds and the sigma^2 I uniform profile."""
+    if kind == "full":
+        return _random_problem(4)
+    if kind == "uniform_profile":
+        ens, g = _structured_problem(4, "isotropic")
+        return mt.uniform_profile(ens.targets, sigma_u_sq=1.5, sigma_v_sq=0.1), g
+    return _structured_problem(4, kind)
+
+
 class TestStructuredCovariances:
     """Diagonal covariances are solved per component; full ones as one
     coupled (NM) x (NM) system."""
@@ -147,30 +161,29 @@ class TestStructuredCovariances:
         ens, g = _random_problem(seed)
         _check_against_oracles(ens, g, 1.0, mu=0.05)
 
-    @pytest.mark.parametrize(
-        "kind", ["diagonal", "isotropic", "uniform", "uniform_profile", "full"]
-    )
+    @pytest.mark.parametrize("kind", KINDS)
     def test_report_solves_one_stack_per_group(self, monkeypatch, kind):
         """theory_report hands _spd_solve one N x N system with M right-hand
         sides for isotropic covariances, M N x N systems for other diagonal
-        ones and a single (NM) x (NM) system for full ones."""
-        if kind == "full":
-            ens, g = _random_problem(4)
-        elif kind == "uniform_profile":
-            ens, g = _structured_problem(4, "isotropic")
-            ens = mt.uniform_profile(ens.targets, sigma_u_sq=1.5, sigma_v_sq=0.1)
-        else:
-            ens, g = _structured_problem(4, kind)
+        ones and a single (NM) x (NM) system for full ones, and solves the
+        per-frequency terms over the same groups: (N, G, s, s) curvatures
+        against (N, G, r, s, s) noise blocks."""
+        ens, g = _kind_problem(kind)
         n, m = ens.n_agents, ens.dim
         assert m > 1
-        shapes = []
-        solve = mt.theory._spd_solve
+        shapes, blocks = [], []
+        solve, trace_solve = mt.theory._spd_solve, mt.theory._trace_solve
 
-        def record(mat, rhs):
+        def record(mat, rhs, *args):
             shapes.append((mat.shape, rhs.shape))
-            return solve(mat, rhs)
+            return solve(mat, rhs, *args)
+
+        def record_blocks(mu, curvature, noise):
+            blocks.append((curvature.shape, noise.shape))
+            return trace_solve(mu, curvature, noise)
 
         monkeypatch.setattr(mt.theory, "_spd_solve", record)
+        monkeypatch.setattr(mt.theory, "_trace_solve", record_blocks)
         rep = mt.theory_report(ens, g, 0.05, 1.0)
         assert np.isfinite(rep.msd_bar) and rep.bias_cross_term != 0.0
         want = {
@@ -180,7 +193,38 @@ class TestStructuredCovariances:
             "isotropic": ((1, n, n), (1, n, m)),
             "uniform_profile": ((1, n, n), (1, n, m)),
         }
+        want_blocks = {
+            "full": ((n, 1, m, m), (n, 1, 1, m, m)),
+            "diagonal": ((n, m, 1, 1), (n, m, 1, 1, 1)),
+            "uniform": ((n, m, 1, 1), (n, m, 1, 1, 1)),
+            "isotropic": ((n, 1, 1, 1), (n, 1, m, 1, 1)),
+            "uniform_profile": ((n, 1, 1, 1), (n, 1, m, 1, 1)),
+        }
         assert shapes == [want[kind]]
+        assert blocks == [want_blocks[kind]]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_report_neither_groups_nor_certifies_again(self, monkeypatch, kind):
+        """The covariance groups are built once, with the ensemble, and a
+        well-conditioned report runs no certifying Cholesky."""
+        grouped, factored = [], []
+        group, cholesky = mt.tasks._coupled_covariances, np.linalg.cholesky
+
+        def record_group(covs):
+            grouped.append(covs.shape)
+            return group(covs)
+
+        def record_cholesky(mat):
+            factored.append(mat.shape)
+            return cholesky(mat)
+
+        monkeypatch.setattr(mt.tasks, "_coupled_covariances", record_group)
+        ens, g = _kind_problem(kind)
+        assert grouped  # at construction
+        grouped.clear()
+        monkeypatch.setattr(np.linalg, "cholesky", record_cholesky)
+        mt.theory_report(ens, g, 0.05, 1.0)
+        assert grouped == [] and factored == []
 
 
 class TestSpdSolve:
@@ -192,9 +236,17 @@ class TestSpdSolve:
         for a, b, x in zip(mats, rhs, got):
             assert np.max(np.abs(a @ x - b)) < 1e-12
 
+    def test_certified_stack_is_one_lu_solve(self):
+        rng = np.random.default_rng(1)
+        mats = np.stack([make_random_spd(rng, 4) for _ in range(3)])
+        rhs = rng.standard_normal((3, 4, 2))
+        got = mt.theory._spd_solve(mats, rhs, 4.0)  # every eigenvalue in [0.5, 2]
+        assert got.tobytes() == np.linalg.solve(mats, rhs).tobytes()
+
     def test_stack_falls_back_to_symmetric_part(self):
-        """Cholesky reads one triangle; when that triangle is indefinite but
-        the symmetric part is SPD, the eigh fallback solves the symmetric part."""
+        """Without a condition bound the stack is solved through the
+        eigendecomposition of its symmetric part, so a matrix whose lower
+        triangle alone is indefinite is solved as its SPD symmetric part."""
         odd = np.array([[1.0, -0.9], [1.5, 1.0]])
         mats = np.stack([np.eye(2), odd])
         rhs = np.ones((2, 2, 1))
@@ -207,6 +259,22 @@ class TestSpdSolve:
         mats = np.stack([np.eye(2), np.ones((2, 2))])
         with pytest.raises(mt.SingularSystem):
             mt.theory._spd_solve(mats, np.ones((2, 2, 1)))
+
+
+class TestSingularSystems:
+    """A data term that vanishes next to eta * L leaves the singular
+    Laplacian: SingularSystem at every eta > 0, never a solution."""
+
+    @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0, 5.0])
+    def test_vanishing_covariances_raise(self, smooth_targets, bench_graph, eta):
+        ens = mt.uniform_profile(smooth_targets, sigma_u_sq=1e-300, sigma_v_sq=0.1)
+        with pytest.raises(mt.SingularSystem):
+            mt.theory_report(ens, bench_graph, 1e-3, eta)
+
+    def test_eta_zero_needs_no_solve(self, smooth_targets, bench_graph):
+        ens = mt.uniform_profile(smooth_targets, sigma_u_sq=1e-300, sigma_v_sq=0.1)
+        rep = mt.theory_report(ens, bench_graph, 1e-3, 0.0)
+        assert rep.msd_total == pytest.approx(mt.msd_noncoop(ens, 1e-3), rel=1e-12, abs=0.0)
 
 
 class TestLimits:

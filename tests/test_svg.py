@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from mtdiff.svg import Series, line_chart
+from mtdiff.svg import _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, Series, line_chart
 
 
 def _render(**kwargs):
@@ -77,6 +77,35 @@ class TestScales:
     def test_single_point_series_renders_marker(self):
         doc = line_chart([Series("pt", [1.0], [2.0])])
         assert "<circle" in doc and "polyline" not in doc
+
+
+def _scalar_points(x, y, *, width=720, height=460):
+    """Polyline points of a lone series with x_log and y_db on, one point
+    at a time through the chart's scalar pixel formula."""
+    keep = np.isfinite(x) & np.isfinite(y) & (x > 0.0) & (y > 0.0)
+    x, y = np.log10(x[keep]), 10.0 * np.log10(y[keep])
+    x_lo, x_hi = float(x.min()), float(x.max())
+    y_lo, y_hi = float(y.min()), float(y.max())
+    pad = 0.04 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    px0, px1 = _MARGIN_L, width - _MARGIN_R
+    py0, py1 = height - _MARGIN_B, _MARGIN_T
+    return " ".join(
+        f"{px0 + (a - x_lo) / (x_hi - x_lo) * (px1 - px0):.2f},"
+        f"{py0 + (b - y_lo) / (y_hi - y_lo) * (py1 - py0):.2f}"
+        for a, b in zip(x, y)
+    )
+
+
+class TestPolylinePoints:
+    def test_long_series_matches_scalar_formula(self):
+        rng = np.random.default_rng(3)
+        x = np.arange(40_000, dtype=float)  # x = 0 is dropped on the log axis
+        y = np.exp(-x / 9000.0) * rng.uniform(0.5, 2.0, x.size)
+        y[::997] = 0.0  # dropped in dB
+        doc = line_chart([Series("curve", x, y)], x_log=True, y_db=True)
+        poly = next(l for l in doc.splitlines() if "<polyline" in l)
+        assert poly.split('points="', 1)[1].split('"', 1)[0] == _scalar_points(x, y)
 
 
 class TestMetadata:

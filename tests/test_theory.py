@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mtdiff as mt
 from mtdiff import cli
 from mtdiff.theory import _noise_covariances
 
 from helpers import (
+    dense_frequency_msd,
     empirical_noise_covariance,
     lyapunov_msd,
     make_random_spd,
@@ -17,7 +20,7 @@ from helpers import (
     random_connected_adjacency,
     uniform_msd,
 )
-from test_regularized import _random_problem
+from test_regularized import _random_problem, _structured_problem
 
 
 class TestNoiseCovariance:
@@ -56,6 +59,22 @@ class TestPredictors:
         assert rep.msd_per_frequency.shape == (15,)
         assert np.all(rep.msd_per_frequency > 0.0)
         assert rep.msd_total == float(rep.msd_per_frequency.sum())
+
+    @settings(max_examples=40)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["diagonal", "isotropic", "uniform", "full"]),
+        st.sampled_from([0.0, 0.1, 1.0, 2.0]),
+    )
+    def test_per_frequency_terms_match_dense_oracle(self, seed, kind, eta):
+        """The per-group block solves give the dense M x M per-frequency terms."""
+        if kind == "full":
+            ens, g = _random_problem(seed)
+        else:
+            ens, g = _structured_problem(seed, kind)
+        rep = mt.theory_report(ens, g, 0.05, eta)
+        want = dense_frequency_msd(ens, g, 0.05, eta, rep.solution.blocks)
+        assert rep.msd_per_frequency == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_noncoop_closed_form(self, het_ensemble):
         """The closed form against the trace formula it simplifies, on the
