@@ -69,7 +69,7 @@ MODULE_VERSIONS = {
     "graphs": 1,
     "tasks": 1,
     "engine": 2,
-    "theory": 4,
+    "theory": 5,
 }
 
 __all__ = [

@@ -225,17 +225,15 @@ def cmd_bias_scan(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> Outputs
     positive = np.array([e > 0.0 for e in etas])
     slope_rows = []
     for j, mu in enumerate(mus):
-        if positive.sum() >= 2:
-            slope = _loglog_slope(np.asarray(etas)[positive], surface[positive, j])
-            slope_rows.append([mu, slope, int(positive.sum())])
+        keep = positive & (surface[:, j] > 0.0)  # points a log-log fit can use
+        slope = _loglog_slope(np.asarray(etas)[keep], surface[keep, j]) if keep.sum() > 1 else None
+        slope_rows.append([mu, slope, int(keep.sum())])
+        if slope is not None:
             print(f"mu={mu:g}: slope of log||bias||^2 vs log eta = {slope:.3f}")
-        else:
-            slope_rows.append([mu, None, int(positive.sum())])
-    if len(mus) >= 2 and positive.any():
-        eta_ref = float(np.asarray(etas)[positive].max())
-        i_ref = etas.index(eta_ref)
+    i_ref = etas.index(max(etas))
+    if len(mus) >= 2 and etas[i_ref] > 0.0 and np.all(surface[i_ref] > 0.0):
         slope_mu = _loglog_slope(np.asarray(mus), surface[i_ref, :])
-        print(f"eta={eta_ref:g}: slope of log||bias||^2 vs log mu = {slope_mu:.3f}")
+        print(f"eta={etas[i_ref]:g}: slope of log||bias||^2 vs log mu = {slope_mu:.3f}")
 
     charts = {}
     if positive.sum() >= 2:

@@ -266,8 +266,8 @@ def _validate(sections: dict[str, Any]) -> None:
     if e.profile == "uniform" and (e.sigma_u_sq <= 0.0 or e.sigma_v_sq <= 0.0):
         raise ConfigError("uniform profile needs positive sigma_u_sq and sigma_v_sq")
     for name, rng in (("sigma_u_range", e.sigma_u_range), ("sigma_v_range", e.sigma_v_range)):
-        if len(rng) != 2 or rng[0] <= 0.0 or rng[1] < rng[0]:
-            raise ConfigError(f"ensemble.{name} must be 'lo, hi' with 0 < lo <= hi")
+        if len(rng) != 2 or not (0.0 < rng[0] <= rng[1] < math.inf):
+            raise ConfigError(f"ensemble.{name} must be 'lo, hi' with 0 < lo <= hi < inf")
     if not a.mu or not all(math.isfinite(m) and m > 0.0 for m in a.mu):
         raise ConfigError("algo.mu must list at least one finite positive step size")
     if not a.eta or not all(math.isfinite(h) and h >= 0.0 for h in a.eta):

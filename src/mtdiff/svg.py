@@ -57,7 +57,7 @@ def _px(v: float) -> str:
 def _ticks_linear(lo: float, hi: float) -> list[float]:
     """4-8 ticks on a 1-2-5 ladder covering [lo, hi]."""
     span = hi - lo
-    if span <= 0.0 or not math.isfinite(span):
+    if not 1e-300 < span < math.inf:  # smaller spans underflow the 1-2-5 ladder
         return [lo]
     raw = span / 5.0
     mag = 10.0 ** math.floor(math.log10(raw))
@@ -95,9 +95,9 @@ def line_chart(
     """Render the curves into a standalone SVG document (a str).
 
     x_log draws a logarithmic x axis and silently drops x <= 0 points;
-    y_db plots 10*log10(y) and drops y <= 0 points.  Non-finite points split
-    their polyline.  metadata lines end up in a leading XML comment, each
-    prefixed with "# ", so the provenance survives inside the image file.
+    y_db plots 10*log10(y) and drops y <= 0 points.  Non-finite points are
+    dropped, their neighbours joined.  metadata lines end up in a leading XML
+    comment, each prefixed with "# ", so the provenance survives in the file.
     """
     plots: list[tuple[Series, np.ndarray, np.ndarray]] = []
     for s in series:

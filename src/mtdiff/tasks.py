@@ -58,9 +58,9 @@ class TaskEnsemble:
         covs = 0.5 * (covs + covs.transpose(0, 2, 1))
         try:
             chol = np.linalg.cholesky(covs)
+            eigvals = np.linalg.eigvalsh(covs)
         except np.linalg.LinAlgError as exc:
-            raise MtdiffError("regressor covariances must be positive definite") from exc
-        eigvals = np.linalg.eigvalsh(covs)
+            raise MtdiffError(f"regressor covariances must be positive definite: {exc}") from exc
         coupled = _coupled_covariances(covs)
         for arr in (covs, nv, eigvals, coupled, chol):
             arr.setflags(write=False)

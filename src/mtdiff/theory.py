@@ -25,17 +25,17 @@ components, with r = M/(Gs) copies of each group sharing its covariances.
 W0_eta and the bias are written once, in component-major order, over those
 groups and solved as one (G, sN, sN) stack with r right-hand sides each, and
 the curvature at each frequency is block-diagonal over the same groups, so
-its trace needs only the matching (s, s) diagonal blocks of the noise:
-N * G * r solves of size s.
+its trace needs only the matching (s, s) diagonal blocks of the noise,
+summed over the r copies: N * G solves of size s.
 Isotropic R_uk = sigma_k^2 I (every bundled config) give the M components
-one shared N x N system, factored once for M right-hand sides, and N * M
-scalar per-frequency terms; other diagonal R_uk give M N x N systems, and
-any other covariance one group of all M components: one (NM) x (NM) system
-and N dense M x M per-frequency solves.  The W0_eta stack is certified well
-conditioned from the curvature spectrum and the Laplacian's largest
-eigenvalue, without a factorization, before its one LU solve; a stack the
-bound cannot certify is solved through a symmetric eigendecomposition, which
-raises SingularSystem when the stack is numerically singular.
+one shared N x N system, factored once for M right-hand sides, and N scalar
+per-frequency solves; other diagonal R_uk give M N x N systems and N * M
+scalar solves, and any other covariance one group of all M components: one
+(NM) x (NM) system and N dense M x M per-frequency solves.  The W0_eta stack
+is certified well conditioned from the curvature spectrum and the Laplacian's
+largest eigenvalue, without a factorization, before its one LU solve; a stack
+the bound cannot certify is solved through a symmetric eigendecomposition,
+which raises SingularSystem when the stack is numerically singular.
 
 theory_report is the one entry point for a (mu, eta) point: it checks
 stability, solves W0_eta and computes the bias once, and its report carries
@@ -178,6 +178,17 @@ def _spd_solve(mat: np.ndarray, rhs: np.ndarray, kappa: float = math.inf) -> np.
     return vecs @ ((np.swapaxes(vecs, -1, -2) @ rhs) / vals[..., None])
 
 
+def _lu_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.solve, raising SingularSystem on a singular or overflowing stack."""
+    try:
+        x = np.linalg.solve(mat, rhs)
+    except np.linalg.LinAlgError:
+        x = np.array(np.nan)
+    if not np.all(np.isfinite(x)):
+        raise SingularSystem("system is singular or its solution overflows")
+    return x
+
+
 def solve_regularized(ensemble: TaskEnsemble, g: Graph, eta: float) -> RegularizedSolution:
     """Minimize the regularized network cost at penalty strength eta >= 0.
 
@@ -226,18 +237,17 @@ def _long_term_bias(
     n, m, eta = ensemble.n_agents, ensemble.dim, reg.eta
     if eta == 0.0:
         return np.zeros(n * m)
-    # group g: (I - (I - I_s kron mu eta L)(I - mu H_g)) x_g = rhs_g
+    # group g: (I - (I - I_s kron mu eta L)(I - mu H_g)) x_g = rhs_g, the matrix
+    # formed as mu eta (I_s kron L)(I - mu H_g) + mu H_g, not 1 - (1 - a)(1 - b)
     cov = ensemble.coupled_cov
     groups, s = cov.shape[:2]
     lap = g.laplacian
-    combine = np.eye(n) - mu * eta * lap
     step = np.eye(s)[:, :, None] - mu * cov
-    mats = (-combine[:, None, :] * step[:, :, None]).reshape(groups, s * n, s * n)
-    diagonal = np.arange(s * n)
-    mats[:, diagonal, diagonal] += 1.0
+    mats = (mu * eta) * lap[:, None, :] * step[:, :, None]
+    np.einsum("gkala->gkla", mats)[...] += mu * cov
     rhs = (mu * eta) ** 2 * (lap @ (lap @ reg.solution.blocks))
     rhs = rhs.reshape(n, groups, s, -1).transpose(1, 2, 0, 3).reshape(groups, s * n, -1)
-    x = np.linalg.solve(mats, rhs).reshape(groups, s, n, -1)
+    x = _lu_solve(mats.reshape(groups, s * n, s * n), rhs).reshape(groups, s, n, -1)
     return x.transpose(2, 0, 1, 3).reshape(-1)
 
 
@@ -269,52 +279,44 @@ class TheoryReport:
     bias_sq_norm: float
 
 
-def _noise_covariances(ensemble: TaskEnsemble, reg: RegularizedSolution) -> np.ndarray:
-    """Limiting gradient-noise covariance of every node, as an (N, M, M) stack.
+def _noise_blocks(ensemble: TaskEnsemble, reg: RegularizedSolution) -> np.ndarray:
+    """Limiting gradient-noise covariance of every node as (N, G, s, s) blocks:
+    each coupled group's (s, s) diagonal block, summed over its r copies (for
+    full covariances [k, 0] is node k's whole M x M covariance).
 
     For Gaussian regressors node k's covariance is R W R + R * Tr(R W) +
     sigma_v^2 R, where W = d d' for the node's regularized-vs-own-target
     mismatch d, so R W R = (R d)(R d)' and Tr(R W) = d' R d.  At eta = 0 the
     mismatch vanishes and only the sigma_v^2 R floor remains.
     """
-    covs = ensemble.regressor_cov
+    cov = ensemble.coupled_cov
+    n, groups, s = ensemble.n_agents, cov.shape[0], cov.shape[1]
+    r = ensemble.dim // (groups * s)
     delta = ensemble.targets.blocks - reg.solution.blocks
-    r_delta = np.einsum("kij,kj->ki", covs, delta)
+    r_delta = np.einsum("kij,kj->ki", ensemble.regressor_cov, delta)
     scale = np.einsum("ki,ki->k", delta, r_delta) + ensemble.noise_var
-    return r_delta[:, :, None] * r_delta[:, None, :] + scale[:, None, None] * covs
-
-
-def _frequency_weighted(g: Graph, stack: np.ndarray) -> np.ndarray:
-    """Per-frequency mixtures sum_k v_m(k)^2 X_k of a node-first (N, ...) stack."""
-    n = stack.shape[0]
-    return ((g.eigenvectors**2).T @ stack.reshape(n, -1)).reshape(stack.shape)
-
-
-def _trace_solve(mu: float, curvature: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """mu/(2N) * sum_{g,c} Tr(curvature_{m,g}^{-1} noise_{m,g,c}) for each of
-    the N frequencies, with curvature (N, G, s, s) and noise (N, G, r, s, s)."""
-    n = curvature.shape[0]
-    solved = np.linalg.solve(curvature[:, :, None], noise)
-    return mu / (2.0 * n) * np.trace(solved, axis1=3, axis2=4).sum(axis=(1, 2))
+    r_delta = r_delta.reshape(n, groups, s, r)
+    outer = np.einsum("agkc,aglc->agkl", r_delta, r_delta)
+    return outer + (r * scale)[:, None, None, None] * cov.transpose(3, 0, 1, 2)
 
 
 def _per_frequency_terms(
     ensemble: TaskEnsemble, g: Graph, mu: float, reg: RegularizedSolution
 ) -> np.ndarray:
-    """Summands of the steady-state predictor, one per graph frequency.
-
-    The curvature at frequency m is block-diagonal over the coupled groups,
-    so only the matching (s, s) diagonal blocks of the noise enter the trace.
+    """Summands of the steady-state predictor, one per graph frequency m:
+    mu/(2N) * Tr(C_m^{-1} N_m), C_m = sum_k v_m(k)^2 R_k + eta lambda_m I and
+    N_m the same mixture of the noise covariances, both mixed in one product.
+    C_m is block-diagonal over the coupled groups and the trace is linear in
+    N_m, so each group needs its copy-summed noise block alone: N * G solves.
     """
     cov = ensemble.coupled_cov
     n, groups, s = ensemble.n_agents, cov.shape[0], cov.shape[1]
-    r = ensemble.dim // (groups * s)
-    noise = _noise_covariances(ensemble, reg).reshape(n, groups, s, r, groups, s, r)
-    # the repeated g and c take the (s, s) block of group g, copy c
-    noise = _frequency_weighted(g, np.einsum("agkcglc->agckl", noise))
-    shift = reg.eta * g.eigenvalues[:, None, None, None] * np.eye(s)
-    curvature = _frequency_weighted(g, cov.transpose(3, 0, 1, 2)) + shift
-    return _trace_solve(mu, curvature, noise)
+    stack = np.concatenate((_noise_blocks(ensemble, reg), cov.transpose(3, 0, 1, 2)), axis=1)
+    mixed = ((g.eigenvectors**2).T @ stack.reshape(n, -1)).reshape(stack.shape)
+    noise, curvature = mixed[:, :groups], mixed[:, groups:]
+    curvature += reg.eta * g.eigenvalues[:, None, None, None] * np.eye(s)
+    solved = _lu_solve(curvature, noise)
+    return mu / (2.0 * n) * np.trace(solved, axis1=2, axis2=3).sum(axis=1)
 
 
 def msd_noncoop(ensemble: TaskEnsemble, mu: float) -> float:

@@ -18,6 +18,7 @@ routine, the corresponding test stops being evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -283,6 +284,64 @@ def noise_free_recursion(
         psi = w - mu * np.einsum("kij,kj->ki", covs, w - targets)
         w = psi - mu * eta * (laplacian @ psi)
     return w
+
+
+def _rational_solve(mat: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """Solve a nonsingular system by Gauss-Jordan elimination, exactly."""
+    n = len(rhs)
+    aug = [row[:] + [b] for row, b in zip(mat, rhs)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col] / aug[col][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [aug[r][n] / aug[r][r] for r in range(n)]
+
+
+def exact_bias(
+    covs: np.ndarray, targets: np.ndarray, laplacian: np.ndarray, mu: float, eta: float
+) -> np.ndarray:
+    """Long-term bias E[W0_eta - W_inf] in exact rational arithmetic.
+
+    Every float input is taken as the rational it stands for.  W0_eta solves
+    (H + eta L kron I) w = H w0 and the bias x solves (I - B) x =
+    (mu eta)^2 (L kron I)^2 W0_eta with B = (I - mu eta L kron I)(I - mu H),
+    both without rounding, so the result carries only its final rounding to
+    float.  The cost grows quickly with N*M; keep N*M <= 4.  Returns the
+    length-NM bias in node order.
+    """
+    n, m = targets.shape
+    size = n * m
+    zero = Fraction(0)
+    mu_q, eta_q = Fraction(mu), Fraction(eta)
+    eye = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    lap = [
+        [Fraction(laplacian[i // m, j // m]) if i % m == j % m else zero for j in range(size)]
+        for i in range(size)
+    ]
+    hess = [
+        [Fraction(covs[i // m, i % m, j % m]) if i // m == j // m else zero for j in range(size)]
+        for i in range(size)
+    ]
+
+    def matvec(mat, vec):
+        return [sum((a * b for a, b in zip(row, vec)), zero) for row in mat]
+
+    def combine(p, q, a, b):  # a * p + b * q, entrywise
+        return [[a * x + b * y for x, y in zip(rp, rq)] for rp, rq in zip(p, q)]
+
+    w0 = [Fraction(v) for v in targets.reshape(-1)]
+    w = _rational_solve(combine(hess, lap, 1, eta_q), matvec(hess, w0))
+    left, right = combine(eye, lap, 1, -mu_q * eta_q), combine(eye, hess, 1, -mu_q)
+    closed_loop = [
+        [sum((left[i][k] * right[k][j] for k in range(size)), zero) for j in range(size)]
+        for i in range(size)
+    ]
+    rhs = [(mu_q * eta_q) ** 2 * v for v in matvec(lap, matvec(lap, w))]
+    x = _rational_solve(combine(eye, closed_loop, 1, -1), rhs)
+    return np.array([float(v) for v in x])
 
 
 @dataclass(frozen=True)

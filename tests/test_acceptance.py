@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import mtdiff as mt
-from mtdiff.theory import _noise_covariances
+from mtdiff.theory import _noise_blocks
 
 from helpers import (
     batch_gd_minimize,
@@ -291,7 +291,7 @@ def test_criterion_7_noise_covariance_oracle():
         eta = float(rng.uniform(1.0, 5.0))
         reg = mt.solve_regularized(ens, g, eta)
         k = int(rng.integers(0, n))
-        closed = _noise_covariances(ens, reg)[k]
+        closed = _noise_blocks(ens, reg)[k, 0]
         sampled = empirical_noise_covariance(
             ens.regressor_cov[k],
             ens.targets.blocks[k],

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mtdiff as mt
+from mtdiff import config
 from mtdiff.cli import main
 from mtdiff.config import build_ensemble, build_graph, load_config
 
@@ -482,3 +489,114 @@ class TestDeterminismAcrossJobs:
             ["simulate", "--config", str(cfg), "--out", str(b), "--jobs", "4"]
         ) == 0
         assert (a / "curves.csv").read_bytes() == (b / "curves.csv").read_bytes()
+
+
+BUNDLED = {
+    "theory": "bench15.conf",
+    "simulate": "bench15_sim.conf",
+    "bias-scan": "bias_scan.conf",
+    "sweep-eta": "sweep_smooth.conf",
+    "filter-response": "filter.conf",
+}
+# every run is short and single-threaded unless the drawn key says otherwise
+BOUNDED_RUNS = {"algo.n_iters": "200", "algo.n_runs": "2", "algo.jobs": "1"}
+NUMERIC_KEYS = {  # key -> value type
+    f"{name}.{f.name}": f.type
+    for name, section in config._SECTIONS.items()
+    for f in fields(section)
+    if f.type in ("int", "float", "tuple[float, ...]")
+}
+# keys that size an allocation or a thread pool are drawn no larger than this
+SIZE_CAPS = {
+    "graph.n": 40,
+    "ensemble.dim": 8,
+    "algo.n_iters": 500,
+    "algo.n_runs": 4,
+    "algo.jobs": 2,
+    "filter.lambda_points": 1000,
+}
+EXTREMES = ["0", "-0.0", "-1", "5e-324", "2.2e-308", "1e-300", "1e300", "1e308"]
+EXTREMES += ["-1e308", "inf", "-inf", "nan", str(2**64), str(-(2**63))]
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _bundled_entries(command):
+    entries = {}
+    for line in (CONFIG_DIR / BUNDLED[command]).read_text().splitlines():
+        if line.strip() and not line.startswith("#"):
+            key, _, value = line.partition("=")
+            entries[key.strip()] = value.strip()
+    return {**entries, **BOUNDED_RUNS}
+
+
+def _run_bundled(command, entries, directory):
+    """Run a subcommand on the given config entries; return the exit code,
+    standard error and every number in the CSV files it wrote."""
+    path = directory / "fuzz.conf"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([command, "--config", str(path), "--out", str(directory / "out")])
+    numbers = []
+    for csv in sorted((directory / "out").glob("*.csv")):
+        _, _, rows = _read_csv(csv)
+        numbers += [float(cell) for row in rows for cell in row if cell]
+    return code, err.getvalue(), numbers
+
+
+def _extreme_value(key):
+    if key in SIZE_CAPS:
+        return st.one_of(
+            st.integers(-(2**63), SIZE_CAPS[key]).map(str),
+            st.sampled_from(["nan", "inf", "1e308", "5e-324"]),
+        )
+    return st.one_of(
+        st.sampled_from(EXTREMES),
+        st.floats().map(repr),
+        st.integers(-(2**70), 2**70).map(str),
+    )
+
+
+class TestConfigFuzz:
+    """One key of a bundled config set to an extreme, negative, non-finite,
+    subnormal or huge value: the matching subcommand exits 0, 2, 3 or 4,
+    prints no traceback, and writes only finite numbers when it succeeds."""
+
+    @pytest.mark.parametrize("command", sorted(BUNDLED))
+    @given(data=st.data())
+    def test_one_extreme_key(self, tmp_path_factory, command, data):
+        entries = _bundled_entries(command)
+        key = data.draw(st.sampled_from(sorted(NUMERIC_KEYS)), label="key")
+        value = data.draw(_extreme_value(key), label="value")
+        if NUMERIC_KEYS[key] == "tuple[float, ...]" and key in entries:
+            items = [repr(v) for v in config._parse_float_list(entries[key])]
+            items[data.draw(st.integers(0, len(items) - 1), label="index")] = value
+            value = ", ".join(items)
+        entries[key] = value
+        code, err, numbers = _run_bundled(command, entries, tmp_path_factory.mktemp("fuzz"))
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        if code == 0:
+            assert all(math.isfinite(v) for v in numbers)
+
+    @pytest.mark.parametrize(
+        "command, key, value, code",
+        [
+            ("theory", "ensemble.sigma_u_range", "0.8, nan", 2),
+            ("theory", "ensemble.sigma_v_range", "0.05, inf", 2),
+            ("theory", "ensemble.sigma_v_range", "0.05, 1e308", 4),
+            ("theory", "algo.mu", "5e-324", 4),
+            ("bias-scan", "algo.mu", "1e-300, 1e-4, 1e-5", 0),
+            ("bias-scan", "algo.eta", "0, 5e-324, log:1e-3:1e-2:9", 0),
+            ("sweep-eta", "ensemble.sigma_u_sq", "5e-324", 4),
+            ("filter-response", "ensemble.sigma_u_sq", "1e308", 2),
+            ("filter-response", "filter.lambda_max", "5e-324", 0),
+        ],
+    )
+    def test_extremes_that_once_escaped(self, tmp_path, command, key, value, code):
+        """Extremes the fuzzer found raising a raw numpy error or writing nan
+        or inf, each with the exit code it gets now."""
+        entries = {**_bundled_entries(command), key: value}
+        got, err, numbers = _run_bundled(command, entries, tmp_path)
+        assert got == code, err
+        assert all(math.isfinite(v) for v in numbers)

@@ -12,6 +12,7 @@ import mtdiff as mt
 from helpers import (
     batch_gd_minimize,
     dense_regularized_solution,
+    exact_bias,
     make_random_spd,
     noise_free_recursion,
     pareto_solution,
@@ -165,25 +166,32 @@ class TestStructuredCovariances:
     def test_report_solves_one_stack_per_group(self, monkeypatch, kind):
         """theory_report hands _spd_solve one N x N system with M right-hand
         sides for isotropic covariances, M N x N systems for other diagonal
-        ones and a single (NM) x (NM) system for full ones, and solves the
-        per-frequency terms over the same groups: (N, G, s, s) curvatures
-        against (N, G, r, s, s) noise blocks."""
+        ones and a single (NM) x (NM) system for full ones.  It makes exactly
+        three LAPACK solves and no factorization besides: the W0_eta stack,
+        the per-frequency terms over the same groups ((N, G, s, s)
+        curvatures against copy-summed (N, G, s, s) noise blocks) and the
+        bias stack, shaped like the W0_eta one."""
         ens, g = _kind_problem(kind)
         n, m = ens.n_agents, ens.dim
         assert m > 1
-        shapes, blocks = [], []
-        solve, trace_solve = mt.theory._spd_solve, mt.theory._trace_solve
+        shapes, solves = [], []
+        spd_solve, solve = mt.theory._spd_solve, np.linalg.solve
 
         def record(mat, rhs, *args):
             shapes.append((mat.shape, rhs.shape))
-            return solve(mat, rhs, *args)
+            return spd_solve(mat, rhs, *args)
 
-        def record_blocks(mu, curvature, noise):
-            blocks.append((curvature.shape, noise.shape))
-            return trace_solve(mu, curvature, noise)
+        def record_solve(mat, rhs):
+            solves.append((mat.shape, rhs.shape))
+            return solve(mat, rhs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a report factorized besides its LU solves")
 
         monkeypatch.setattr(mt.theory, "_spd_solve", record)
-        monkeypatch.setattr(mt.theory, "_trace_solve", record_blocks)
+        monkeypatch.setattr(np.linalg, "solve", record_solve)
+        monkeypatch.setattr(np.linalg, "cholesky", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
         rep = mt.theory_report(ens, g, 0.05, 1.0)
         assert np.isfinite(rep.msd_bar) and rep.bias_cross_term != 0.0
         want = {
@@ -193,15 +201,15 @@ class TestStructuredCovariances:
             "isotropic": ((1, n, n), (1, n, m)),
             "uniform_profile": ((1, n, n), (1, n, m)),
         }
-        want_blocks = {
-            "full": ((n, 1, m, m), (n, 1, 1, m, m)),
-            "diagonal": ((n, m, 1, 1), (n, m, 1, 1, 1)),
-            "uniform": ((n, m, 1, 1), (n, m, 1, 1, 1)),
-            "isotropic": ((n, 1, 1, 1), (n, 1, m, 1, 1)),
-            "uniform_profile": ((n, 1, 1, 1), (n, 1, m, 1, 1)),
+        blocks = {
+            "full": (n, 1, m, m),
+            "diagonal": (n, m, 1, 1),
+            "uniform": (n, m, 1, 1),
+            "isotropic": (n, 1, 1, 1),
+            "uniform_profile": (n, 1, 1, 1),
         }
         assert shapes == [want[kind]]
-        assert blocks == [want_blocks[kind]]
+        assert solves == [want[kind], (blocks[kind], blocks[kind]), want[kind]]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_report_neither_groups_nor_certifies_again(self, monkeypatch, kind):
@@ -357,6 +365,23 @@ class TestLongTermBias:
         offset = (w_reg - w_inf).reshape(-1)
         assert np.max(np.abs(offset - rep.bias_vector)) < 1e-12
         assert float(offset @ offset) == pytest.approx(rep.bias_sq_norm, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("mu", [1e-3, 1e-5, 1e-7])
+    def test_matches_exact_rational_bias(self, mu):
+        """At small mu the bias matrix I - (I - mu eta L)(I - mu H) is O(mu)
+        beside entries of order 1, so forming it by that difference would
+        lose about u/mu relative accuracy; the report stays at roundoff."""
+        for seed in (0, 3):
+            rng = np.random.default_rng(seed)
+            g = mt.build_graph(random_connected_adjacency(rng, 4))
+            ens = mt.TaskEnsemble(
+                targets=mt.StackedSignal.from_blocks(rng.standard_normal((4, 1))),
+                regressor_cov=rng.uniform(0.5, 2.0, (4, 1, 1)),
+                noise_var=rng.uniform(0.02, 0.5, 4),
+            )
+            want = exact_bias(ens.regressor_cov, ens.targets.blocks, g.laplacian, mu, 2.0)
+            got = mt.theory_report(ens, g, mu, 2.0).bias_vector
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_quartic_in_eta_quadratic_in_mu(self, het_ensemble, bench_graph):
         etas = np.geomspace(1e-3, 1e-2, 6)

@@ -70,6 +70,12 @@ class TestScales:
         assert poly.count(",") == 3
         assert "(log)" not in doc or "t (log)" not in doc  # no x_label given
 
+    def test_non_finite_points_are_dropped_and_bridged(self):
+        doc = line_chart([Series("s", [0, 1, 2, 3], [1.0, np.nan, 2.0, 3.0])])
+        polys = [l for l in doc.splitlines() if "<polyline" in l]
+        assert len(polys) == 1
+        assert polys[0].split('points="', 1)[1].split('"', 1)[0].count(",") == 3
+
     def test_all_points_dropped_still_renders(self):
         doc = line_chart([Series("empty", [0.0], [0.0])], y_db=True)
         assert "<svg" in doc and "polyline" not in doc

@@ -9,32 +9,43 @@ from hypothesis import strategies as st
 
 import mtdiff as mt
 from mtdiff import cli
-from mtdiff.theory import _noise_covariances
+from mtdiff.theory import _noise_blocks
 
 from helpers import (
     dense_frequency_msd,
     empirical_noise_covariance,
+    gradient_noise_covariances,
     lyapunov_msd,
     make_random_spd,
     noncoop_trace_msd,
     random_connected_adjacency,
     uniform_msd,
 )
-from test_regularized import _random_problem, _structured_problem
+from test_regularized import KINDS, _kind_problem, _random_problem, _structured_problem
+
+
+def _copy_summed(ensemble, mats):
+    """(N, M, M) node matrices as copy-summed (N, G, s, s) group blocks: the
+    (s, s) diagonal block of group g, copy c, sits on components
+    (g*s + k)*r + c, and the blocks of the r copies are added."""
+    groups, s = ensemble.coupled_cov.shape[:2]
+    r = ensemble.dim // (groups * s)
+    blocks = np.reshape(mats, (len(mats), groups, s, r, groups, s, r))
+    return np.einsum("agkcglc->agkl", blocks)
 
 
 class TestNoiseCovariance:
     def test_floor_at_eta_zero(self, het_ensemble, bench_graph):
         reg = mt.solve_regularized(het_ensemble, bench_graph, 0.0)
-        for k in (0, 7, 14):
-            got = _noise_covariances(het_ensemble, reg)[k]
-            want = het_ensemble.noise_var[k] * het_ensemble.regressor_cov[k]
-            assert np.allclose(got, want, rtol=0, atol=1e-15)
+        got = _noise_blocks(het_ensemble, reg)
+        assert got.shape == (15, 1, 1, 1)
+        floor = het_ensemble.noise_var[:, None, None] * het_ensemble.regressor_cov
+        assert np.allclose(got, _copy_summed(het_ensemble, floor), rtol=0, atol=1e-15)
 
     def test_matches_sampled_covariance(self, het_ensemble, bench_graph):
         reg = mt.solve_regularized(het_ensemble, bench_graph, 5.0)
         k = 3
-        got = _noise_covariances(het_ensemble, reg)[k]
+        got = _noise_blocks(het_ensemble, reg)[k]
         emp = empirical_noise_covariance(
             het_ensemble.regressor_cov[k],
             het_ensemble.targets.blocks[k],
@@ -43,14 +54,28 @@ class TestNoiseCovariance:
             200_000,
             np.random.default_rng(2024),
         )
-        rel = np.linalg.norm(got - emp) / np.linalg.norm(got)
+        want = _copy_summed(het_ensemble, emp[None])[0]
+        rel = np.linalg.norm(got - want) / np.linalg.norm(got)
         assert rel < 0.05
 
     def test_symmetric_positive_definite(self, het_ensemble, bench_graph):
         reg = mt.solve_regularized(het_ensemble, bench_graph, 20.0)
-        for r_s in _noise_covariances(het_ensemble, reg):
-            assert np.allclose(r_s, r_s.T, atol=1e-14)
-            assert np.linalg.eigvalsh(r_s).min() > 0.0
+        for block in _noise_blocks(het_ensemble, reg).reshape(-1, 1, 1):
+            assert np.allclose(block, block.T, atol=1e-14)
+            assert np.linalg.eigvalsh(block).min() > 0.0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_blocks_match_oracle(self, kind):
+        """Copy-summed blocks of the per-node R W R + R Tr(R W) + sigma_v^2 R
+        for every covariance structure, and each block SPD."""
+        ens, g = _kind_problem(kind)
+        reg = mt.solve_regularized(ens, g, 20.0)
+        got = _noise_blocks(ens, reg)
+        want = _copy_summed(ens, gradient_noise_covariances(ens, reg.solution.blocks))
+        assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+        for block in got.reshape(-1, *got.shape[2:]):
+            assert np.allclose(block, block.T, atol=1e-14)
+            assert np.linalg.eigvalsh(block).min() > 0.0
 
 
 class TestPredictors:
