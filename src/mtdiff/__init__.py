@@ -14,6 +14,7 @@ from .engine import (
     SimResult,
     default_horizon,
     monte_carlo,
+    monte_carlo_many,
 )
 from .errors import (
     ConfigError,
@@ -107,6 +108,7 @@ __all__ = [
     "load_edge_list",
     "make_smooth_target",
     "monte_carlo",
+    "monte_carlo_many",
     "msd_noncoop",
     "optimize_eta",
     "random_geometric_graph",

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import MODULE_VERSIONS, __version__
 from .config import ExperimentConfig, build_ensemble, build_graph, load_config
-from .engine import SimConfig, monte_carlo
+from .engine import SimConfig, monte_carlo, monte_carlo_many
 from .errors import (
     ConfigError,
     MtdiffError,
@@ -262,9 +262,10 @@ def cmd_sweep_eta(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> Outputs
 
     spot: list[list[float]] = []  # [eta, simulated msd_bar, theory msd_bar]
     if cfg.sweep.spot_check:
-        for eta in sorted({0.0, sweep.eta_star, float(sweep.etas[-1])}):
-            res = monte_carlo(ens, g, _sim_config(cfg, mu, eta), jobs=cfg.algo.jobs)
-            spot.append([eta, res.steady_msd_vs_target, res.theory.msd_bar])
+        etas = sorted({0.0, sweep.eta_star, float(sweep.etas[-1])})
+        cfgs = [_sim_config(cfg, mu, eta) for eta in etas]
+        sims = monte_carlo_many(ens, g, cfgs, jobs=cfg.algo.jobs)
+        spot = [[eta, r.steady_msd_vs_target, r.theory.msd_bar] for eta, r in zip(etas, sims)]
         spot_header = ["eta", "msd_sim_vs_target", "msd_bar_theory"]
         tables["sweep_spot_check.csv"] = (spot_header, spot)
 

@@ -2,26 +2,34 @@
 
 Each iteration every node takes a stochastic-gradient step on its own data
 (adapt) and then moves toward its neighbors' intermediate estimates, weighted
-by the graph and the regularization strength (combine).  The one entry point,
-``monte_carlo``, reads its (mu, eta) point from one ``theory_report``: that
-call refuses an inadmissible point, solves the offset W0_eta the error curves
-are measured against, and comes back as ``SimResult.theory``.
+by the graph and the regularization strength (combine).  The one engine
+entry, ``monte_carlo_many``, simulates one set of runs at several etas that
+share every other setting; ``monte_carlo`` is its one-config case.  Each
+(mu, eta) point is read from one ``theory_report``: that call refuses an
+inadmissible point, solves the offset W0_eta the error curves are measured
+against, and comes back as ``SimResult.theory``.
 
 State layout
 ------------
 A block of runs is simulated in the error coordinates X = W_tgt - W, stored
-node-major with the runs last, shape (N, M, runs).  One iteration is
+eta-major and node-major with the runs last, shape (E, N, M, runs) for E
+etas.  One iteration is
 
     X <- A (X - mu u (u.X + v)) + c,    A = I - mu*eta*L,  c = mu*eta*L W_tgt,
 
-so the combine step is a single (N x N) @ (N, M*runs) product with A and c
-computed once per simulation.  Each chunk of CHUNK_ITERS iterations draws its
-normals, maps them to regressors with one batched Cholesky product, and keeps
-its states so the error curves and window sums are reduced once per chunk.
-A block's chunk buffers are a few arrays of at most
-BLOCK_RUNS * CHUNK_ITERS * N * (M+1) floats (about 3 MB each at N=15, M=5)
-whatever the horizon; only the block's two per-iteration float64 curves grow
-with it, and MAX_HORIZON caps them at 160 MB.
+so the combine step is a single batched (E, N, N) @ (E, N, M*runs) product
+with A and c computed once per simulation.  Each chunk of CHUNK_ITERS
+iterations draws its normals once for all etas (the etas see common random
+numbers), maps them to regressors with one batched Cholesky product, and
+keeps its states so the error curves and window sums are reduced once per
+chunk.  Each eta's slice sees exactly the arithmetic of a one-eta run, so
+its result does not depend on the other etas.  A block's chunk buffers do
+not grow with the horizon: one draw buffer of BLOCK_RUNS * CHUNK_ITERS *
+N * (M+1) floats shared by the etas (about 3 MB at N=15, M=5) and two state
+buffers of E times BLOCK_RUNS * CHUNK_ITERS * N * M floats (about 2.5 MB
+each per eta).  Only the block's 2E per-iteration float64 curves grow with
+the horizon, and MAX_HORIZON, checked on the configs' shared horizon, caps
+them at 160 MB per eta.
 
 Reproducibility contract
 ------------------------
@@ -42,6 +50,7 @@ import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -66,9 +75,14 @@ MAX_HORIZON = 10**7
 
 
 def default_horizon(ensemble: TaskEnsemble, mu: float) -> int:
-    """Iterations until the slowest error mode has decayed by e^-30."""
-    lam_min = float(ensemble.regressor_eigvals.min())
-    return int(math.ceil(30.0 / (mu * lam_min)))
+    """Iterations until the slowest error mode has decayed by e^-30.
+
+    Raises InvalidArgument when that count overflows a float (mu * lambda_min
+    subnormal or zero)."""
+    rate = mu * float(ensemble.regressor_eigvals.min())
+    if not (rate > 0.0 and math.isfinite(30.0 / rate)):
+        raise InvalidArgument(f"the default horizon at mu={mu:g} is not finite")
+    return int(math.ceil(30.0 / rate))
 
 
 @dataclass(frozen=True)
@@ -133,17 +147,17 @@ class SimResult:
 class _Problem:
     """Precomputed constants shared by every run of one simulation.
 
-    They live in the error coordinates X = W_tgt - W: comb is
-    A = I - mu*eta*L, drive is c = mu*eta*L W_tgt, offset is W_tgt - W0_eta
-    and x_init is the initial error; _run_block repeats the last three,
-    (N, M) each, along a trailing run axis.
+    They live in the error coordinates X = W_tgt - W, one slice per eta of
+    the leading axis: comb is A = I - mu*eta*L, (E, N, N), drive is
+    c = mu*eta*L W_tgt and offset is W_tgt - W0_eta, (E, N, M) each;
+    x_init, (N, M), is the initial error every eta starts from.  _run_block
+    repeats drive, offset and x_init along a trailing run axis.
     """
 
     def __init__(
-        self, ensemble: TaskEnsemble, g: Graph, cfg: SimConfig, w_reg: np.ndarray
+        self, ensemble: TaskEnsemble, g: Graph, cfg: SimConfig, reports: list[TheoryReport]
     ):
         n = ensemble.n_agents
-        mu, eta = cfg.mu, cfg.eta
         w_tgt = ensemble.targets.blocks
         if cfg.init is not None and np.size(cfg.init) != w_tgt.size:
             raise DimensionMismatch(
@@ -151,12 +165,14 @@ class _Problem:
             )
         self.n = n
         self.m = ensemble.dim
-        self.mu = mu
+        self.mu = cfg.mu
+        self.etas = tuple(r.eta for r in reports)
         self.chol = ensemble._chol
         self.sig_v = np.sqrt(ensemble.noise_var)
-        self.comb = np.eye(n) - (mu * eta) * g.laplacian
-        self.drive = (mu * eta) * (g.laplacian @ w_tgt)
-        self.offset = w_tgt - w_reg
+        step = np.array([cfg.mu * r.eta for r in reports])[:, None, None]
+        self.comb = np.eye(n) - step * g.laplacian
+        self.drive = step * (g.laplacian @ w_tgt)
+        self.offset = w_tgt - np.stack([r.solution.blocks for r in reports])
         init = 0.0 if cfg.init is None else np.reshape(cfg.init, w_tgt.shape)
         self.x_init = w_tgt - init
 
@@ -164,88 +180,116 @@ class _Problem:
 def _run_block(
     prob: _Problem, cfg: SimConfig, runs: range, horizon: int, window_start: int
 ):
-    """Simulate a contiguous block of runs, returning per-iteration sums.
+    """Simulate a contiguous block of runs at every eta, returning sums.
 
-    All returned curves are sums over the block's runs (the caller divides by
-    the total run count in fixed block order).
+    The etas share the block's draws.  All returned arrays are sums over the
+    block's runs, one row per eta: two (E, horizon) curves and the (E, N)
+    window sums per node (the caller divides by the total run count in fixed
+    block order).
     """
     b = len(runs)
+    n_eta = len(prob.etas)
     n, m, mu = prob.n, prob.m, prob.mu
     chunk = min(CHUNK_ITERS, horizon)
 
     gens = [
         np.random.Generator(np.random.Philox(key=(cfg.seed << 64) + r)) for r in runs
     ]
-    sum_reg = np.zeros(horizon)
-    sum_tgt = np.zeros(horizon)
-    agent_window = np.zeros(n)
+    sum_reg = np.zeros((n_eta, horizon))
+    sum_tgt = np.zeros((n_eta, horizon))
+    agent_window = np.zeros((n_eta, n))
 
     def per_run(a):
-        return np.repeat(a[:, :, None], b, axis=2)
+        return np.repeat(a[..., None], b, axis=-1)
 
     drive, offset = per_run(prob.drive), per_run(prob.offset)
-    x = per_run(prob.x_init)
+    x = per_run(np.broadcast_to(prob.x_init, prob.drive.shape))
     z = np.empty((b, chunk, n, m + 1))
     u = np.empty((chunk, n, m, b))
-    v = np.empty((chunk, n, b))
-    states = np.empty((chunk, n, m, b))
-    dev = np.empty((chunk, n, m, b))
-    step = np.empty((n, m, b))
+    v = np.empty((chunk, 1, n, b))  # eta axis of 1: e += v[j] needs no broadcast at E=1
+    states = np.empty((chunk, n_eta, n, m, b))
+    dev = np.empty((chunk, n_eta, n, m, b))
+    step = np.empty((n_eta, n, m, b))
+    gain = np.empty((n_eta, n, 1, b))  # mu (u.X + v), broadcast over M
+    e = gain[:, :, 0]
+    # the combine product's (N, M*runs) views, made once
+    step_flat = step.reshape(n_eta, n, m * b)
+    states_flat = states.reshape(chunk, n_eta, n, m * b)
 
     for t0 in range(0, horizon, chunk):
         tc = min(chunk, horizon - t0)
         for i, gen in enumerate(gens):
             gen.standard_normal(out=z[i, :tc])
         np.matmul(prob.chol, z[:, :tc, :, :m].transpose(1, 2, 3, 0), out=u[:tc])
-        np.multiply(z[:, :tc, :, m].transpose(1, 2, 0), prob.sig_v[:, None], out=v[:tc])
+        np.multiply(z[:, :tc, :, m].transpose(1, 2, 0), prob.sig_v[:, None], out=v[:tc, 0])
         for j in range(tc):
             # step = mu * gradient = mu u (u.X + v); then X <- A (X - step) + c
-            e = np.einsum("nmb,nmb->nb", u[j], x)
+            np.einsum("nmb,enmb->enb", u[j], x, out=e)
             e += v[j]
             e *= mu
-            np.multiply(u[j], e[:, None, :], out=step)
+            np.multiply(u[j], gain, out=step)
             np.subtract(x, step, out=step)
+            np.matmul(prob.comb, step_flat, out=states_flat[j])
             x = states[j]
-            np.matmul(prob.comb, step.reshape(n, m * b), out=x.reshape(n, m * b))
             x += drive
 
         s = states[:tc]
         w0 = max(0, window_start - t0)
         d = np.subtract(s, offset, out=dev[:tc])
-        err_reg = np.einsum("tnmb,tnmb->tb", d, d) / n
+        err_reg = np.einsum("tenmb,tenmb->teb", d, d) / n
         if not np.all(err_reg <= DIVERGENCE_GUARD):
-            j_idx, b_idx = np.argwhere(~(err_reg <= DIVERGENCE_GUARD))[0]
+            j_idx, e_idx, b_idx = np.argwhere(~(err_reg <= DIVERGENCE_GUARD))[0]
             raise NumericalDivergence(
-                f"run {runs[b_idx]} exceeded the divergence guard "
-                f"({DIVERGENCE_GUARD:g}) at iteration {t0 + j_idx}",
+                f"run {runs[b_idx]} at eta={prob.etas[e_idx]:g} exceeded the divergence "
+                f"guard ({DIVERGENCE_GUARD:g}) at iteration {t0 + j_idx}",
                 run_index=int(runs[b_idx]),
                 iteration=int(t0 + j_idx),
             )
-        sum_reg[t0 : t0 + tc] += err_reg.sum(axis=1)
-        sum_tgt[t0 : t0 + tc] += np.einsum("tnmb,tnmb->t", s, s) / n
-        agent_window += np.einsum("tnmb,tnmb->n", d[w0:], d[w0:])
+        sum_reg[:, t0 : t0 + tc] += err_reg.sum(axis=2).T
+        sum_tgt[:, t0 : t0 + tc] += np.einsum("tenmb,tenmb->et", s, s) / n
+        agent_window += np.einsum("tenmb,tenmb->en", d[w0:], d[w0:])
 
     return sum_reg, sum_tgt, agent_window
 
 
-def monte_carlo(
-    ensemble: TaskEnsemble, g: Graph, cfg: SimConfig, *, jobs: int = 1
-) -> SimResult:
-    """Average cfg.n_runs independent runs into one SimResult.
+def _check_shared(cfgs: tuple[SimConfig, ...]) -> SimConfig:
+    """The first config, once every config agrees with it in all but eta."""
+    if not cfgs:
+        raise InvalidArgument("monte_carlo_many needs at least one config")
+    base = cfgs[0]
+    for cfg in cfgs[1:]:
+        for name in ("mu", "n_iters", "n_runs", "seed", "init", "steady_window_frac"):
+            if not np.array_equal(getattr(cfg, name), getattr(base, name)):
+                raise InvalidArgument(
+                    f"monte_carlo_many configs must differ only in eta; their {name} differ"
+                )
+    return base
 
-    Runs are partitioned into fixed blocks of BLOCK_RUNS; blocks may execute
-    on a thread pool (jobs > 1) but partial sums are always combined in block
-    order, so the result is a pure function of (ensemble, g, cfg).  A horizon
-    above MAX_HORIZON raises InvalidArgument.
+
+def monte_carlo_many(
+    ensemble: TaskEnsemble, g: Graph, cfgs: Sequence[SimConfig], *, jobs: int = 1
+) -> tuple[SimResult, ...]:
+    """Simulate one set of runs at several etas, one SimResult per config.
+
+    The configs must agree in every field but eta (else InvalidArgument).
+    Every run's draws are made once and advance its state at each eta, so the
+    etas see common random numbers, and each result is bitwise the one
+    monte_carlo returns for its config alone.  Runs are partitioned into
+    fixed blocks of BLOCK_RUNS; blocks may execute on a thread pool
+    (jobs > 1) but partial sums are always combined in block order, so the
+    results are a pure function of (ensemble, g, cfg) whatever jobs is.  A
+    horizon above MAX_HORIZON raises InvalidArgument.
     """
+    cfgs = tuple(cfgs)
+    cfg = _check_shared(cfgs)
     horizon = cfg.horizon(ensemble)
     if horizon > MAX_HORIZON:
         raise InvalidArgument(
             f"horizon of {horizon} iterations at mu={cfg.mu:g} exceeds the limit "
             f"of {MAX_HORIZON} iterations"
         )
-    report = theory_report(ensemble, g, cfg.mu, cfg.eta)
-    prob = _Problem(ensemble, g, cfg, report.solution.blocks)
+    reports = [theory_report(ensemble, g, c.mu, c.eta) for c in cfgs]
+    prob = _Problem(ensemble, g, cfg, reports)
     window_start = horizon - cfg.window_length(horizon)
     blocks = [
         range(lo, min(lo + BLOCK_RUNS, cfg.n_runs))
@@ -269,11 +313,23 @@ def monte_carlo(
         agent_window += part[2]
     curve_reg = sum_reg / cfg.n_runs
     curve_tgt = sum_tgt / cfg.n_runs
-    return SimResult(
-        curve_vs_reg=curve_reg,
-        curve_vs_target=curve_tgt,
-        steady_msd_vs_reg=float(curve_reg[window_start:].mean()),
-        steady_msd_vs_target=float(curve_tgt[window_start:].mean()),
-        steady_msd_per_agent_vs_reg=agent_window / (cfg.n_runs * (horizon - window_start)),
-        theory=report,
+    per_agent = agent_window / (cfg.n_runs * (horizon - window_start))
+    return tuple(
+        SimResult(
+            curve_vs_reg=curve_reg[i],
+            curve_vs_target=curve_tgt[i],
+            steady_msd_vs_reg=float(curve_reg[i, window_start:].mean()),
+            steady_msd_vs_target=float(curve_tgt[i, window_start:].mean()),
+            steady_msd_per_agent_vs_reg=per_agent[i],
+            theory=report,
+        )
+        for i, report in enumerate(reports)
     )
+
+
+def monte_carlo(
+    ensemble: TaskEnsemble, g: Graph, cfg: SimConfig, *, jobs: int = 1
+) -> SimResult:
+    """Average cfg.n_runs independent runs into one SimResult: the
+    one-config case of monte_carlo_many."""
+    return monte_carlo_many(ensemble, g, (cfg,), jobs=jobs)[0]

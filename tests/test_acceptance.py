@@ -57,11 +57,9 @@ def _db(x: float) -> float:
 def mu3_sims(het_ensemble, bench_graph):
     """200-run benchmark simulations at mu = 1e-3, shared by criteria 1 and 3."""
     t0 = time.perf_counter()
-    sims = {}
-    for eta in SIM_ETAS:
-        cfg = mt.SimConfig(mu=1e-3, eta=eta, n_runs=200, seed=2024)
-        sims[eta] = mt.monte_carlo(het_ensemble, bench_graph, cfg, jobs=JOBS)
-    return sims, time.perf_counter() - t0
+    cfgs = [mt.SimConfig(mu=1e-3, eta=eta, n_runs=200, seed=2024) for eta in SIM_ETAS]
+    runs = mt.monte_carlo_many(het_ensemble, bench_graph, cfgs, jobs=JOBS)
+    return dict(zip(SIM_ETAS, runs)), time.perf_counter() - t0
 
 
 def test_criterion_1_theory_vs_simulation(het_ensemble, bench_graph, mu3_sims):
@@ -133,12 +131,10 @@ def test_criterion_4_multitask_benefit(smooth_targets, bench_graph):
     theory_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    checks = {}
-    for eta in (0.0, sweep.eta_star, float(grid[-1])):
-        cfg = mt.SimConfig(mu=mu, eta=eta, n_runs=200, seed=2024)
-        res = mt.monte_carlo(ens, bench_graph, cfg, jobs=JOBS)
-        theory = mt.theory_report(ens, bench_graph, mu, eta).msd_bar
-        checks[eta] = (res.steady_msd_vs_target, theory)
+    etas = (0.0, sweep.eta_star, float(grid[-1]))
+    cfgs = [mt.SimConfig(mu=mu, eta=eta, n_runs=200, seed=2024) for eta in etas]
+    runs = mt.monte_carlo_many(ens, bench_graph, cfgs, jobs=JOBS)
+    checks = {eta: (res.steady_msd_vs_target, res.theory.msd_bar) for eta, res in zip(etas, runs)}
     sim_time = time.perf_counter() - t1
 
     overlay_ok = all(

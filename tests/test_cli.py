@@ -262,6 +262,35 @@ class TestSweepEtaCommand:
         for row in rows:
             assert float(row[1]) > 0.0 and float(row[2]) > 0.0
 
+    def test_spot_checks_equal_standalone_simulations(self, tmp_path):
+        """The spot checks share their runs' draws across etas; each row is
+        still the standalone monte_carlo at its eta, digit for digit."""
+        cfg = _write_config(
+            tmp_path,
+            {
+                "ensemble.tau": "8, 12",  # smooth enough that 0 < eta* = 1 < 4
+                "algo.eta": "0, 1, 2, 4",
+                "algo.n_iters": "150",
+                "algo.n_runs": "3",
+                "sweep.spot_check": "true",
+            },
+        )
+        out = tmp_path / "res"
+        assert main(["sweep-eta", "--config", str(cfg), "--out", str(out)]) == 0
+        _, _, rows = _read_csv(out / "sweep_spot_check.csv")
+        exp = load_config(cfg)
+        g = build_graph(exp)
+        ens = build_ensemble(exp, g)
+        a = exp.algo
+        assert len(rows) == 3
+        for row in rows:
+            sim = mt.SimConfig(
+                mu=a.mu[0], eta=float(row[0]), n_iters=a.n_iters, n_runs=a.n_runs,
+                seed=a.seed, steady_window_frac=a.steady_window_frac,
+            )
+            res = mt.monte_carlo(ens, g, sim)
+            assert row == [repr(sim.eta), repr(res.steady_msd_vs_target), repr(res.theory.msd_bar)]
+
     def test_degenerate_grid(self, tmp_path):
         cfg = _write_config(tmp_path, {"algo.eta": "0"})
         out = tmp_path / "res"
@@ -464,6 +493,20 @@ class TestErrorPaths:
         out = tmp_path / "r"
         assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 4
         assert "numerically singular" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_default_horizon_exits_2(self, tmp_path, capsys):
+        """bench15_sim.conf leaves algo.n_iters at 0, so the horizon is
+        30 / (mu * lambda_min), which overflows at mu = 1e-310."""
+        text = (CONFIG_DIR / "bench15_sim.conf").read_text()
+        assert "algo.n_iters" not in text
+        cfg = tmp_path / "sim.conf"
+        cfg.write_text(text.replace("algo.mu = 1e-3", "algo.mu = 1e-310"))
+        out = tmp_path / "r"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "horizon" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_bad_seed_override_exits_2(self, tmp_path):

@@ -210,6 +210,19 @@ class TestConfigAndStability:
         assert mt.SimConfig(mu=mu, eta=0.0, n_iters=77).horizon(het_ensemble) == 77
 
     @pytest.mark.parametrize(
+        "mu, sigma_u_sq", [(1e-310, 1.0), (5e-324, 0.25)], ids=["overflow", "zero-rate"]
+    )
+    def test_default_horizon_overflow_refused(self, smooth_targets, bench_graph, mu, sigma_u_sq):
+        """A step so small that 30 / (mu * lambda_min) overflows a float, or
+        that mu * lambda_min rounds to 0, is a typed error, not a raw
+        OverflowError or ZeroDivisionError."""
+        ens = mt.uniform_profile(smooth_targets, sigma_u_sq=sigma_u_sq, sigma_v_sq=0.1)
+        with pytest.raises(mt.InvalidArgument, match="horizon"):
+            engine.default_horizon(ens, mu)
+        with pytest.raises(mt.InvalidArgument, match="horizon"):
+            engine.monte_carlo(ens, bench_graph, mt.SimConfig(mu=mu, eta=0.0))
+
+    @pytest.mark.parametrize(
         "kwargs", [dict(mu=1e-6), dict(mu=1e-3, n_iters=10**7 + 1)], ids=["mu", "n_iters"]
     )
     def test_horizon_above_budget_refused(self, monkeypatch, kwargs):
@@ -301,3 +314,96 @@ class TestConfigAndStability:
         cfg = mt.SimConfig(mu=1.0, eta=10.0, n_iters=10)
         with pytest.raises(mt.UnstableConfiguration):
             engine.monte_carlo(het_ensemble, bench_graph, cfg)
+
+
+def _full_cov_problem():
+    """Full SPD covariances for the 5-node path, a nonzero start, a horizon
+    that ends partway through its third chunk and a window opening mid-chunk."""
+    rng = np.random.default_rng(17)
+    n, m = 5, 3
+    ens = mt.TaskEnsemble(
+        targets=mt.StackedSignal.from_blocks(rng.standard_normal((n, m))),
+        regressor_cov=np.stack([make_random_spd(rng, m) for _ in range(n)]),
+        noise_var=rng.uniform(0.05, 0.2, size=n),
+    )
+    cfg = mt.SimConfig(
+        mu=0.05, eta=0.0, n_iters=2 * engine.CHUNK_ITERS + 5, seed=29,
+        init=rng.standard_normal((n, m)), steady_window_frac=0.3,
+    )
+    return ens, cfg
+
+
+MANY_ETAS = (0.0, 0.5, 1.5, 4.0)
+
+
+class TestMonteCarloMany:
+    @pytest.mark.parametrize("jobs", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "n_runs", [8, engine.BLOCK_RUNS, engine.BLOCK_RUNS + 3], ids=["narrow", "wide", "tail"]
+    )
+    def test_bitwise_equal_to_monte_carlo(self, line_graph, n_runs, jobs):
+        """Each result of a shuffled set of 1 to 4 etas is bitwise the
+        standalone monte_carlo of its config."""
+        ens, base = _full_cov_problem()
+        base = replace(base, n_runs=n_runs)
+        rng = np.random.default_rng(n_runs * 10 + jobs)
+        for size in range(1, len(MANY_ETAS) + 1):
+            etas = [float(e) for e in rng.permutation(MANY_ETAS)[:size]]
+            cfgs = [replace(base, eta=eta) for eta in etas]
+            many = mt.monte_carlo_many(ens, line_graph, cfgs, jobs=jobs)
+            assert len(many) == size
+            for cfg, got in zip(cfgs, many):
+                alone = mt.monte_carlo(ens, line_graph, cfg)
+                assert got.theory.eta == cfg.eta
+                assert np.array_equal(got.curve_vs_reg, alone.curve_vs_reg)
+                assert np.array_equal(got.curve_vs_target, alone.curve_vs_target)
+                assert np.array_equal(
+                    got.steady_msd_per_agent_vs_reg, alone.steady_msd_per_agent_vs_reg
+                )
+                assert got.steady_msd_vs_reg == alone.steady_msd_vs_reg
+                assert got.steady_msd_vs_target == alone.steady_msd_vs_target
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(mu=0.04),
+            dict(seed=30),
+            dict(n_runs=2),
+            dict(n_iters=50),
+            dict(init=None),
+            dict(init=np.zeros((5, 3))),
+            dict(steady_window_frac=0.2),
+        ],
+        ids=["mu", "seed", "n_runs", "n_iters", "init-none", "init-values", "window"],
+    )
+    def test_configs_must_differ_only_in_eta(self, monkeypatch, line_graph, change):
+        def no_block(*args):
+            raise AssertionError("a block was simulated")
+
+        monkeypatch.setattr(engine, "_run_block", no_block)
+        ens, base = _full_cov_problem()
+        other = replace(base, eta=1.0, **change)
+        with pytest.raises(mt.InvalidArgument, match="only in eta"):
+            mt.monte_carlo_many(ens, line_graph, [base, other])
+
+    def test_empty_config_list_refused(self, line_graph):
+        ens, _ = _full_cov_problem()
+        with pytest.raises(mt.InvalidArgument):
+            mt.monte_carlo_many(ens, line_graph, [])
+
+    def test_divergence_names_its_eta_and_run(self):
+        """At mu = 0.35 the uncoupled nodes diverge in mean square, while
+        combining over the complete graph at eta = 0.2/mu keeps them stable;
+        the error raised for the pair is the one eta = 0 raises alone."""
+        ens = _uniform_ensemble(5, 5)
+        g = mt.build_graph(0.2 * (np.ones((5, 5)) - np.eye(5)))
+        base = mt.SimConfig(mu=0.35, eta=0.2 / 0.35, n_iters=1000, n_runs=3, seed=1)
+        mt.monte_carlo(ens, g, base)  # stable on its own
+        with pytest.raises(mt.NumericalDivergence) as alone:
+            mt.monte_carlo(ens, g, replace(base, eta=0.0))
+        with pytest.raises(mt.NumericalDivergence) as exc:
+            mt.monte_carlo_many(ens, g, [base, replace(base, eta=0.0)])
+        err = exc.value
+        assert (err.run_index, err.iteration) == (alone.value.run_index, alone.value.iteration)
+        assert f"run {err.run_index} at eta=0 " in str(err)
+        assert f"iteration {err.iteration}" in str(err)
