@@ -18,7 +18,7 @@ etas.  One iteration is
     X <- A (X - mu u (u.X + v)) + c,    A = I - mu*eta*L,  c = mu*eta*L W_tgt,
 
 so the combine step is a single batched (E, N, N) @ (E, N, M*runs) product
-with A and c computed once per simulation.  Each chunk of CHUNK_ITERS
+with A and c computed once per block of runs.  Each chunk of CHUNK_ITERS
 iterations draws its normals once for all etas (the etas see common random
 numbers), maps them to regressors with one batched Cholesky product, and
 keeps its states so the error curves and window sums are reduced once per
@@ -50,6 +50,7 @@ import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Sequence
 
 import numpy as np
@@ -144,53 +145,38 @@ class SimResult:
     theory: TheoryReport
 
 
-class _Problem:
-    """Precomputed constants shared by every run of one simulation.
-
-    They live in the error coordinates X = W_tgt - W, one slice per eta of
-    the leading axis: comb is A = I - mu*eta*L, (E, N, N), drive is
-    c = mu*eta*L W_tgt and offset is W_tgt - W0_eta, (E, N, M) each;
-    x_init, (N, M), is the initial error every eta starts from.  _run_block
-    repeats drive, offset and x_init along a trailing run axis.
-    """
-
-    def __init__(
-        self, ensemble: TaskEnsemble, g: Graph, cfg: SimConfig, reports: list[TheoryReport]
-    ):
-        n = ensemble.n_agents
-        w_tgt = ensemble.targets.blocks
-        if cfg.init is not None and np.size(cfg.init) != w_tgt.size:
-            raise DimensionMismatch(
-                f"init must have {w_tgt.size} entries, got {np.size(cfg.init)}"
-            )
-        self.n = n
-        self.m = ensemble.dim
-        self.mu = cfg.mu
-        self.etas = tuple(r.eta for r in reports)
-        self.chol = ensemble._chol
-        self.sig_v = np.sqrt(ensemble.noise_var)
-        step = np.array([cfg.mu * r.eta for r in reports])[:, None, None]
-        self.comb = np.eye(n) - step * g.laplacian
-        self.drive = step * (g.laplacian @ w_tgt)
-        self.offset = w_tgt - np.stack([r.solution.blocks for r in reports])
-        init = 0.0 if cfg.init is None else np.reshape(cfg.init, w_tgt.shape)
-        self.x_init = w_tgt - init
-
-
 def _run_block(
-    prob: _Problem, cfg: SimConfig, runs: range, horizon: int, window_start: int
+    ensemble: TaskEnsemble, g: Graph, cfg: SimConfig, reports: list[TheoryReport],
+    horizon: int, window_start: int, runs: range,
 ):
     """Simulate a contiguous block of runs at every eta, returning sums.
 
-    The etas share the block's draws.  All returned arrays are sums over the
-    block's runs, one row per eta: two (E, horizon) curves and the (E, N)
-    window sums per node (the caller divides by the total run count in fixed
-    block order).
+    The etas share the block's draws.  The block builds its constants in the
+    error coordinates, one slice per eta: comb is A = I - mu*eta*L, (E, N, N),
+    and the drive c = mu*eta*L W_tgt, the offset W_tgt - W0_eta and the
+    initial error are (E, N, M).  Those three are repeated along a trailing
+    run axis, because the per-iteration x += drive and the per-chunk window
+    deviation ran slower on broadcast operands than on contiguous copies.
+    All returned arrays are sums over the block's runs, one row per eta: two
+    (E, horizon) curves and the (E, N) window sums per node (the caller
+    divides by the total run count in fixed block order).
     """
     b = len(runs)
-    n_eta = len(prob.etas)
-    n, m, mu = prob.n, prob.m, prob.mu
+    n_eta = len(reports)
+    n, m, mu = ensemble.n_agents, ensemble.dim, cfg.mu
     chunk = min(CHUNK_ITERS, horizon)
+    w_tgt = ensemble.targets.blocks
+    scaled = np.array([mu * r.eta for r in reports])[:, None, None]
+    comb = np.eye(n) - scaled * g.laplacian
+    init = 0.0 if cfg.init is None else np.reshape(cfg.init, w_tgt.shape)
+    sig_v = np.sqrt(ensemble.noise_var)
+
+    def per_run(a):
+        return np.repeat(a[..., None], b, axis=-1)
+
+    drive = per_run(scaled * (g.laplacian @ w_tgt))
+    offset = per_run(w_tgt - np.stack([r.solution.blocks for r in reports]))
+    x = per_run(np.broadcast_to(w_tgt - init, drive.shape[:-1]))
 
     gens = [
         np.random.Generator(np.random.Philox(key=(cfg.seed << 64) + r)) for r in runs
@@ -198,12 +184,6 @@ def _run_block(
     sum_reg = np.zeros((n_eta, horizon))
     sum_tgt = np.zeros((n_eta, horizon))
     agent_window = np.zeros((n_eta, n))
-
-    def per_run(a):
-        return np.repeat(a[..., None], b, axis=-1)
-
-    drive, offset = per_run(prob.drive), per_run(prob.offset)
-    x = per_run(np.broadcast_to(prob.x_init, prob.drive.shape))
     z = np.empty((b, chunk, n, m + 1))
     u = np.empty((chunk, n, m, b))
     v = np.empty((chunk, 1, n, b))  # eta axis of 1: e += v[j] needs no broadcast at E=1
@@ -220,8 +200,8 @@ def _run_block(
         tc = min(chunk, horizon - t0)
         for i, gen in enumerate(gens):
             gen.standard_normal(out=z[i, :tc])
-        np.matmul(prob.chol, z[:, :tc, :, :m].transpose(1, 2, 3, 0), out=u[:tc])
-        np.multiply(z[:, :tc, :, m].transpose(1, 2, 0), prob.sig_v[:, None], out=v[:tc, 0])
+        np.matmul(ensemble._chol, z[:, :tc, :, :m].transpose(1, 2, 3, 0), out=u[:tc])
+        np.multiply(z[:, :tc, :, m].transpose(1, 2, 0), sig_v[:, None], out=v[:tc, 0])
         for j in range(tc):
             # step = mu * gradient = mu u (u.X + v); then X <- A (X - step) + c
             np.einsum("nmb,enmb->enb", u[j], x, out=e)
@@ -229,7 +209,7 @@ def _run_block(
             e *= mu
             np.multiply(u[j], gain, out=step)
             np.subtract(x, step, out=step)
-            np.matmul(prob.comb, step_flat, out=states_flat[j])
+            np.matmul(comb, step_flat, out=states_flat[j])
             x = states[j]
             x += drive
 
@@ -240,7 +220,7 @@ def _run_block(
         if not np.all(err_reg <= DIVERGENCE_GUARD):
             j_idx, e_idx, b_idx = np.argwhere(~(err_reg <= DIVERGENCE_GUARD))[0]
             raise NumericalDivergence(
-                f"run {runs[b_idx]} at eta={prob.etas[e_idx]:g} exceeded the divergence "
+                f"run {runs[b_idx]} at eta={reports[e_idx].eta:g} exceeded the divergence "
                 f"guard ({DIVERGENCE_GUARD:g}) at iteration {t0 + j_idx}",
                 run_index=int(runs[b_idx]),
                 iteration=int(t0 + j_idx),
@@ -289,28 +269,22 @@ def monte_carlo_many(
             f"of {MAX_HORIZON} iterations"
         )
     reports = [theory_report(ensemble, g, c.mu, c.eta) for c in cfgs]
-    prob = _Problem(ensemble, g, cfg, reports)
+    size = ensemble.targets.blocks.size
+    if cfg.init is not None and np.size(cfg.init) != size:
+        raise DimensionMismatch(f"init must have {size} entries, got {np.size(cfg.init)}")
     window_start = horizon - cfg.window_length(horizon)
     blocks = [
         range(lo, min(lo + BLOCK_RUNS, cfg.n_runs))
         for lo in range(0, cfg.n_runs, BLOCK_RUNS)
     ]
+    block = partial(_run_block, ensemble, g, cfg, reports, horizon, window_start)
     if jobs <= 1 or len(blocks) == 1:
-        partials = [
-            _run_block(prob, cfg, blk, horizon, window_start) for blk in blocks
-        ]
+        partials = list(map(block, blocks))
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_block, prob, cfg, blk, horizon, window_start)
-                for blk in blocks
-            ]
-            partials = [f.result() for f in futures]
-    sum_reg, sum_tgt, agent_window = partials[0]
-    for part in partials[1:]:  # fixed block order
-        sum_reg += part[0]
-        sum_tgt += part[1]
-        agent_window += part[2]
+            partials = list(pool.map(block, blocks))
+    # summed in fixed block order
+    sum_reg, sum_tgt, agent_window = (reduce(np.add, p) for p in zip(*partials))
     curve_reg = sum_reg / cfg.n_runs
     curve_tgt = sum_tgt / cfg.n_runs
     per_agent = agent_window / (cfg.n_runs * (horizon - window_start))
