@@ -68,7 +68,7 @@ __version__ = "0.1.0"
 # output file's metadata header so results stay attributable.
 MODULE_VERSIONS = {
     "graphs": 1,
-    "tasks": 1,
+    "tasks": 2,
     "engine": 2,
     "theory": 5,
 }

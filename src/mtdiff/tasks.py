@@ -55,7 +55,10 @@ class TaskEnsemble:
         sym_err = float(np.max(np.abs(covs - covs.transpose(0, 2, 1))))
         if sym_err > 1e-10:
             raise MtdiffError(f"regressor covariance asymmetry {sym_err:.3e}")
-        covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+        if not np.all(np.isfinite(covs)):
+            raise MtdiffError("regressor covariances overflow; scale them down")
         try:
             chol = np.linalg.cholesky(covs)
             eigvals = np.linalg.eigvalsh(covs)
@@ -111,9 +114,11 @@ def make_smooth_target(g: Graph, tau: np.ndarray, dim: int) -> StackedSignal:
     tau = np.asarray(tau, dtype=float).reshape(-1)
     if tau.size != dim:
         raise DimensionMismatch(f"tau must have {dim} entries, got {tau.size}")
-    if np.any(tau < 0.0):
-        raise MtdiffError("tau entries must be nonnegative")
-    lam = g.eigenvalues[:, None]  # (N, 1)
+    if not np.all(np.isfinite(tau) & (tau >= 0.0)):
+        raise MtdiffError("tau entries must be finite and nonnegative")
+    # lambda_1 is the connected graph's structural zero; eigh returns it as
+    # rounding noise of size eps * lambda_max, which breaks exp at large weights
+    lam = np.concatenate(([0.0], g.eigenvalues[1:]))[:, None]  # (N, 1)
     spectral = np.exp(-lam * tau[None, :]) / np.sqrt(dim)  # (N, M)
     return StackedSignal.from_blocks(g.eigenvectors @ spectral)
 
@@ -125,9 +130,8 @@ def uniform_profile(
     sigma_v_sq: float = 0.1,
 ) -> TaskEnsemble:
     """Every node gets R_u = sigma_u_sq * I and the same noise variance."""
-    n, m = targets.n_agents, targets.block_dim
-    covs = np.broadcast_to(sigma_u_sq * np.eye(m), (n, m, m)).copy()
-    return TaskEnsemble(targets, covs, np.full(n, float(sigma_v_sq)))
+    n = targets.n_agents
+    return scalar_profile(targets, np.full(n, float(sigma_u_sq)), np.full(n, float(sigma_v_sq)))
 
 
 def scalar_profile(
@@ -140,7 +144,8 @@ def scalar_profile(
     su = np.asarray(sigma_u_sq, dtype=float).reshape(-1)
     if su.size != n:
         raise DimensionMismatch(f"sigma_u_sq must have {n} entries, got {su.size}")
-    covs = su[:, None, None] * np.eye(m)[None, :, :]
+    covs = np.zeros((n, m, m))
+    covs[:, np.arange(m), np.arange(m)] = su[:, None]  # no inf * 0 off the diagonal
     return TaskEnsemble(targets, covs, np.asarray(sigma_v_sq, dtype=float))
 
 

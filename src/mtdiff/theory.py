@@ -287,17 +287,22 @@ def _noise_blocks(ensemble: TaskEnsemble, reg: RegularizedSolution) -> np.ndarra
     For Gaussian regressors node k's covariance is R W R + R * Tr(R W) +
     sigma_v^2 R, where W = d d' for the node's regularized-vs-own-target
     mismatch d, so R W R = (R d)(R d)' and Tr(R W) = d' R d.  At eta = 0 the
-    mismatch vanishes and only the sigma_v^2 R floor remains.
+    mismatch vanishes and only the sigma_v^2 R floor remains.  SingularSystem
+    when a covariance overflows.
     """
     cov = ensemble.coupled_cov
     n, groups, s = ensemble.n_agents, cov.shape[0], cov.shape[1]
     r = ensemble.dim // (groups * s)
     delta = ensemble.targets.blocks - reg.solution.blocks
-    r_delta = np.einsum("kij,kj->ki", ensemble.regressor_cov, delta)
-    scale = np.einsum("ki,ki->k", delta, r_delta) + ensemble.noise_var
-    r_delta = r_delta.reshape(n, groups, s, r)
-    outer = np.einsum("agkc,aglc->agkl", r_delta, r_delta)
-    return outer + (r * scale)[:, None, None, None] * cov.transpose(3, 0, 1, 2)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        r_delta = np.einsum("kij,kj->ki", ensemble.regressor_cov, delta)
+        scale = np.einsum("ki,ki->k", delta, r_delta) + ensemble.noise_var
+        r_delta = r_delta.reshape(n, groups, s, r)
+        outer = np.einsum("agkc,aglc->agkl", r_delta, r_delta)
+        blocks = outer + (r * scale)[:, None, None, None] * cov.transpose(3, 0, 1, 2)
+    if not np.all(np.isfinite(blocks)):
+        raise SingularSystem("the gradient-noise covariance overflows")
+    return blocks
 
 
 def _per_frequency_terms(

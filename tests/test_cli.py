@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import math
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -573,12 +574,18 @@ def _bundled_entries(command):
 
 
 def _run_bundled(command, entries, directory):
-    """Run a subcommand on the given config entries; return the exit code,
-    standard error and every number in the CSV files it wrote."""
+    """Run a subcommand on the given config entries, with numpy's RuntimeWarnings
+    raised as errors; return the exit code, standard error and every number in
+    the CSV files it wrote."""
     path = directory / "fuzz.conf"
     path.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with (
+        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stderr(err),
+        warnings.catch_warnings(),
+    ):
+        warnings.simplefilter("error", RuntimeWarning)
         code = main([command, "--config", str(path), "--out", str(directory / "out")])
     numbers = []
     for csv in sorted((directory / "out").glob("*.csv")):
@@ -603,7 +610,8 @@ def _extreme_value(key):
 class TestConfigFuzz:
     """One key of a bundled config set to an extreme, negative, non-finite,
     subnormal or huge value: the matching subcommand exits 0, 2, 3 or 4,
-    prints no traceback, and writes only finite numbers when it succeeds."""
+    raises no numpy RuntimeWarning, prints no traceback, and writes only
+    finite numbers when it succeeds."""
 
     @pytest.mark.parametrize("command", sorted(BUNDLED))
     @given(data=st.data())
@@ -634,11 +642,16 @@ class TestConfigFuzz:
             ("sweep-eta", "ensemble.sigma_u_sq", "5e-324", 4),
             ("filter-response", "ensemble.sigma_u_sq", "1e308", 2),
             ("filter-response", "filter.lambda_max", "5e-324", 0),
+            ("theory", "graph.weight", "1e50", 3),
+            ("theory", "graph.weight", "1e100", 3),
+            ("theory", "ensemble.tau", "8, 9, inf, 11, 12", 2),
+            ("sweep-eta", "ensemble.sigma_u_sq", "inf", 2),
         ],
     )
     def test_extremes_that_once_escaped(self, tmp_path, command, key, value, code):
-        """Extremes the fuzzer found raising a raw numpy error or writing nan
-        or inf, each with the exit code it gets now."""
+        """Extremes the fuzzer found raising a raw numpy error, printing a numpy
+        warning or writing nan or inf, each with the exit code it gets now and
+        no RuntimeWarning on the way."""
         entries = {**_bundled_entries(command), key: value}
         got, err, numbers = _run_bundled(command, entries, tmp_path)
         assert got == code, err

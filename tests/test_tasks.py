@@ -27,6 +27,21 @@ def test_smooth_target_tau_zero_is_all_pass(bench_graph):
     assert np.allclose(norms, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("weight", [1e50, 1e100])
+def test_smooth_target_unit_norm_at_huge_weights(weight):
+    """The DC term is exp(0) whatever rounding noise eigh leaves in lambda_1,
+    so a smooth family keeps its unit norm however heavy the edges are."""
+    g = mt.random_geometric_graph(15, 0.35, weight=weight, seed=9, max_degree=5)
+    tgt = mt.make_smooth_target(g, np.linspace(8.0, 12.0, 5), 5)
+    assert np.linalg.norm(tgt.values) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
+def test_smooth_target_tau_must_be_finite_and_nonnegative(bench_graph, bad):
+    with pytest.raises(mt.MtdiffError, match="finite and nonnegative"):
+        mt.make_smooth_target(bench_graph, [1.0, bad, 2.0], 3)
+
+
 def test_smooth_target_dimension_check(bench_graph):
     with pytest.raises(mt.DimensionMismatch):
         mt.make_smooth_target(bench_graph, [1.0, 2.0], 3)
