@@ -269,7 +269,7 @@ def monte_carlo_many(
             f"of {MAX_HORIZON} iterations"
         )
     reports = [theory_report(ensemble, g, c.mu, c.eta) for c in cfgs]
-    size = ensemble.targets.blocks.size
+    size = ensemble.targets.values.size
     if cfg.init is not None and np.size(cfg.init) != size:
         raise DimensionMismatch(f"init must have {size} entries, got {np.size(cfg.init)}")
     window_start = horizon - cfg.window_length(horizon)

@@ -131,7 +131,9 @@ def uniform_profile(
 ) -> TaskEnsemble:
     """Every node gets R_u = sigma_u_sq * I and the same noise variance."""
     n = targets.n_agents
-    return scalar_profile(targets, np.full(n, float(sigma_u_sq)), np.full(n, float(sigma_v_sq)))
+    return scalar_profile(
+        targets, np.full(n, float(sigma_u_sq)), np.full(n, float(sigma_v_sq))
+    )
 
 
 def scalar_profile(

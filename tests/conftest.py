@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src" / "mtdiff"
 
 
 @pytest.fixture(scope="session")
@@ -49,7 +52,12 @@ def line_graph() -> mt.Graph:
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """One pass/fail line per acceptance criterion at the end of the run."""
+    """The library's source line count, then one pass/fail line per
+    acceptance criterion, at the end of the run."""
+    sources = sorted(SRC_DIR.glob("*.py"))
+    lines = sum(path.read_bytes().count(b"\n") for path in sources)
+    terminalreporter.section("source size")
+    terminalreporter.write_line(f"src/mtdiff: {lines} lines in {len(sources)} .py files")
     mod = sys.modules.get("test_acceptance")
     if mod is None:
         return

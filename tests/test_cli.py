@@ -516,6 +516,13 @@ class TestErrorPaths:
             ["theory", "--config", str(cfg), "--out", str(tmp_path / "r"), "--seed", "-1"]
         ) == 2
 
+    def test_zero_jobs_override_exits_2(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path)
+        out = tmp_path / "r"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--jobs", "0"]) == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

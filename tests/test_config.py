@@ -40,6 +40,10 @@ class TestGrammar:
         cfg = parse_config("algo.mu = 1e-3\nalgo.eta = 0, log:1e-3:1e-1:3\n")
         assert cfg.algo.eta == (0.0, *np.geomspace(1e-3, 1e-1, 3))
 
+    def test_booleans(self):
+        cfg = parse_config(MINIMAL + "output.db = false\nsweep.spot_check = yes\n")
+        assert cfg.output.db is False and cfg.sweep.spot_check is True
+
     def test_sha_tracks_text(self):
         a = parse_config(MINIMAL)
         b = parse_config(MINIMAL)
@@ -67,6 +71,8 @@ class TestGrammar:
         ("algo.eta = lin:0:1\n", "start:stop:count"),
         ("algo.eta = log:0:1:3\n", "positive endpoints"),
         ("algo.eta = 0,,1\n", "empty list item"),
+        ("algo.eta = lin:0:1:1\n", "count must be >= 2"),
+        ("output.db = maybe\n", "not a boolean"),
         ("algo.jobs = true\n", "bad value"),
         ("graph.n.extra = 1\n", "section.key"),
     ],
@@ -86,7 +92,9 @@ def test_syntax_errors_carry_line_numbers(text, fragment):
         "ensemble.dim = 0",
         "ensemble.target = mystery",
         "ensemble.tau = 1, 2",  # wrong length for dim = 5
+        "ensemble.target = file",  # file without a path
         "ensemble.profile = cosmic",
+        "ensemble.profile = file",  # file without a path
         "ensemble.sigma_u_sq = -1",
         "ensemble.sigma_u_range = 2, 1",
         "algo.n_runs = 0",
@@ -101,8 +109,13 @@ def test_syntax_errors_carry_line_numbers(text, fragment):
     ],
 )
 def test_cross_field_validation(overrides):
-    with pytest.raises(mt.ConfigError):
-        parse_config(MINIMAL + overrides + "\n")
+    """Each override replaces MINIMAL's line for its key, so the error comes
+    from validation and not from a duplicate key (syntax errors name a line)."""
+    key = overrides.split("=")[0].strip()
+    kept = [line for line in MINIMAL.splitlines() if line.split("=")[0].strip() != key]
+    with pytest.raises(mt.ConfigError) as exc:
+        parse_config("\n".join(kept + [overrides]) + "\n")
+    assert not str(exc.value).startswith("line ")
 
 
 def test_missing_mu_or_eta_rejected():
@@ -172,6 +185,20 @@ class TestBuilders:
         ens = build_ensemble(cfg, g)
         assert np.allclose(ens.targets.blocks, np.arange(6.0).reshape(3, 2))
         assert np.allclose(ens.noise_var, [0.1, 0.2, 0.3])
+
+    def test_profile_file_shape_mismatch(self, tmp_path):
+        (tmp_path / "tri.edges").write_text("1 2 0.3\n2 3 0.3\n3 1 0.3\n")
+        np.savetxt(tmp_path / "prof.txt", np.ones((3, 3)))  # needs 2 columns
+        p = tmp_path / "x.conf"
+        p.write_text(
+            "graph.source = edges\ngraph.path = tri.edges\n"
+            "ensemble.dim = 2\nensemble.tau = 1, 2\n"
+            "ensemble.profile = file\nensemble.profile_path = prof.txt\n"
+            "algo.mu = 1e-3\nalgo.eta = 0\n"
+        )
+        cfg = load_config(p)
+        with pytest.raises(mt.ConfigError, match="profile file has shape"):
+            build_ensemble(cfg, build_graph(cfg))
 
     def test_target_file_shape_mismatch(self, tmp_path):
         tri = tmp_path / "tri.edges"

@@ -100,6 +100,15 @@ class TestBuildGraph:
         with pytest.raises(mt.NonzeroDiagonal):
             mt.build_graph(a)
 
+    @pytest.mark.parametrize(
+        "adj, fragment",
+        [(np.zeros((2, 3)), "square"), (np.zeros(4), "square"), (np.zeros((0, 0)), "one node")],
+        ids=["non-square", "1-D", "empty"],
+    )
+    def test_rejects_shape(self, adj, fragment):
+        with pytest.raises(mt.GraphError, match=fragment):
+            mt.build_graph(adj)
+
     def test_rejects_disconnected(self):
         a = np.zeros((4, 4))
         a[0, 1] = a[1, 0] = 0.1
@@ -179,6 +188,7 @@ class TestEdgeList:
             ("0 2 0.5\n", mt.GraphError),  # 1-based indexing
             ("1 2\n", mt.GraphError),
             ("", mt.GraphError),
+            ("1 2 heavy\n", mt.GraphError),  # weight is not a number
         ],
     )
     def test_rejects_malformed(self, tmp_path, text, exc):
@@ -267,6 +277,10 @@ class TestSignalsAndTransforms:
         assert w.n_agents == 4 and w.block_dim == 3
         with pytest.raises(mt.DimensionMismatch):
             mt.StackedSignal(n_agents=4, block_dim=3, values=np.zeros(11))
+        with pytest.raises(mt.DimensionMismatch, match="2-D"):
+            mt.StackedSignal.from_blocks(np.zeros(12))
+        with pytest.raises(mt.MtdiffError, match="finite"):
+            mt.StackedSignal.from_blocks(np.where(blocks == 5.0, np.nan, blocks))
 
     def test_signal_graph_size_mismatch(self, bench_graph):
         w = mt.StackedSignal.from_blocks(np.ones((3, 2)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -75,6 +76,11 @@ class TestScales:
         polys = [l for l in doc.splitlines() if "<polyline" in l]
         assert len(polys) == 1
         assert polys[0].split('points="', 1)[1].split('"', 1)[0].count(",") == 3
+
+    def test_log_x_without_a_decade_ticks_its_ends(self):
+        doc = line_chart([Series("s", [2.0, 3.0, 5.0], [1.0, 2.0, 3.0])], x_log=True)
+        labels = re.findall(r'text-anchor="middle" fill="#333333">([^<]*)<', doc)
+        assert labels == ["2", "5"]
 
     def test_all_points_dropped_still_renders(self):
         doc = line_chart([Series("empty", [0.0], [0.0])], y_db=True)

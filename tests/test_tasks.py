@@ -96,6 +96,16 @@ class TestProfiles:
                 targets=smooth_targets, regressor_cov=covs, noise_var=np.full(15, 0.1)
             )
 
+    def test_rejects_bad_cov_shape(self, smooth_targets):
+        with pytest.raises(mt.DimensionMismatch, match="regressor_cov"):
+            mt.TaskEnsemble(
+                targets=smooth_targets, regressor_cov=np.eye(5), noise_var=np.full(15, 0.1)
+            )
+
+    def test_scalar_profile_length_mismatch(self, smooth_targets):
+        with pytest.raises(mt.DimensionMismatch, match="sigma_u_sq"):
+            mt.scalar_profile(smooth_targets, np.ones(14), np.full(15, 0.1))
+
     def test_rejects_bad_noise_length(self, smooth_targets):
         covs = np.broadcast_to(np.eye(5), (15, 5, 5)).copy()
         with pytest.raises(mt.DimensionMismatch):
