@@ -176,7 +176,7 @@ def _run_block(
 
     drive = per_run(scaled * (g.laplacian @ w_tgt))
     offset = per_run(w_tgt - np.stack([r.solution.blocks for r in reports]))
-    x = per_run(np.broadcast_to(w_tgt - init, drive.shape[:-1]))
+    x = per_run(np.broadcast_to(w_tgt - init, (n_eta, n, m)))
 
     gens = [
         np.random.Generator(np.random.Philox(key=(cfg.seed << 64) + r)) for r in runs
