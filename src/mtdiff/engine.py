@@ -19,26 +19,34 @@ etas.  One iteration is
 
 so the combine step is a single batched (E, N, N) @ (E, N, M*runs) product
 with A and c computed once per block of runs.  Each chunk of CHUNK_ITERS
-iterations draws its normals once for all etas (the etas see common random
+iterations reads its normals once for all etas (the etas see common random
 numbers), maps them to regressors with one batched Cholesky product, and
 keeps its states so the error curves and window sums are reduced once per
 chunk.  Each eta's slice sees exactly the arithmetic of a one-eta run, so
-its result does not depend on the other etas.  A block's chunk buffers do
-not grow with the horizon: one draw buffer of BLOCK_RUNS * CHUNK_ITERS *
-N * (M+1) floats shared by the etas (about 3 MB at N=15, M=5) and two state
-buffers of E times BLOCK_RUNS * CHUNK_ITERS * N * M floats (about 2.5 MB
-each per eta).  Only the block's 2E per-iteration float64 curves grow with
-the horizon, and MAX_HORIZON, checked on the configs' shared horizon, caps
-them at 160 MB per eta.
+its result does not depend on the other etas.
+
+The normals are drawn a unit at a time, and the chunks are views into the
+unit.  For a block of b runs a unit is CHUNK_ITERS * max(1, BLOCK_RUNS //
+(2b)) iterations: 256 at b = 8 and 64 at b = 64.  A block's buffers do not
+grow with the horizon.  Its draw buffer holds b * unit * N * (M+1) floats
+and is shared by the etas; a block whose helper draws ahead has two.  For
+b <= 32 the two hold BLOCK_RUNS * CHUNK_ITERS * N * (M+1) floats together,
+about 3 MB at N=15, M=5.  Two state buffers hold E times b * CHUNK_ITERS *
+N * M floats each (about 2.5 MB per eta at b = 64).  Only the block's 2E
+per-iteration float64 curves grow with the horizon, and MAX_HORIZON,
+checked on the configs' shared horizon, caps them at 160 MB per eta.
 
 Reproducibility contract
 ------------------------
 Every Monte Carlo run r draws from its own counter-based stream,
 ``Philox(key = (seed << 64) + r)``, consuming standard normals in a fixed
 (iteration, node, component) order: per iteration, per node, M regressor
-normals then one observation-noise normal.  Runs are simulated in fixed
-blocks of ``BLOCK_RUNS`` and block partial sums are combined in block order,
-so results are bitwise identical for any ``jobs`` setting and any thread
+normals then one observation-noise normal.  One thread at a time fills a
+run's stream, in iteration order, whether that is the block's own thread or
+its helper, and a standard-normal stream gives the same numbers however its
+iterations are split into calls.  Runs are simulated in fixed blocks of
+``BLOCK_RUNS`` and block partial sums are combined in block order, so
+results are bitwise identical for any ``jobs`` setting and any thread
 schedule.  The test suite's scalar replay oracle (``sample()`` in
 ``tests/helpers.py``) consumes the same layout, so a replay of a run's stream
 reproduces the engine's data exactly.
@@ -147,7 +155,7 @@ class SimResult:
 
 def _run_block(
     ensemble: TaskEnsemble, g: Graph, cfg: SimConfig, reports: list[TheoryReport],
-    horizon: int, window_start: int, runs: range,
+    horizon: int, window_start: int, runs: range, helper: ThreadPoolExecutor | None = None,
 ):
     """Simulate a contiguous block of runs at every eta, returning sums.
 
@@ -157,9 +165,12 @@ def _run_block(
     initial error are (E, N, M).  Those three are repeated along a trailing
     run axis, because the per-iteration x += drive and the per-chunk window
     deviation ran slower on broadcast operands than on contiguous copies.
-    All returned arrays are sums over the block's runs, one row per eta: two
-    (E, horizon) curves and the (E, N) window sums per node (the caller
-    divides by the total run count in fixed block order).
+    Given a helper executor, the block draws its next unit of normals on it,
+    into a second buffer, while it computes on the current one; without
+    one, it draws each unit itself just before using it.  All returned
+    arrays are sums over the block's runs, one row per eta: two (E, horizon)
+    curves and the (E, N) window sums per node (the caller divides by the
+    total run count in fixed block order).
     """
     b = len(runs)
     n_eta = len(reports)
@@ -181,10 +192,23 @@ def _run_block(
     gens = [
         np.random.Generator(np.random.Philox(key=(cfg.seed << 64) + r)) for r in runs
     ]
+    # a whole number of chunks per unit: the chunk edges set the window sums'
+    # rounding, so they must not move with the unit
+    unit = min(CHUNK_ITERS * max(1, BLOCK_RUNS // (2 * b)), horizon)
+    draws = [np.empty((b, unit, n, m + 1)) for _ in range(1 if helper is None else 2)]
+
+    def fill(t0):
+        z = draws[t0 // unit % len(draws)]
+        for i, gen in enumerate(gens):
+            gen.standard_normal(out=z[i, : min(unit, horizon - t0)])
+
+    def start(t0):
+        """The wait for the unit at t0: the helper's fill, or the fill itself."""
+        return partial(fill, t0) if helper is None else helper.submit(fill, t0).result
+
     sum_reg = np.zeros((n_eta, horizon))
     sum_tgt = np.zeros((n_eta, horizon))
     agent_window = np.zeros((n_eta, n))
-    z = np.empty((b, chunk, n, m + 1))
     u = np.empty((chunk, n, m, b))
     v = np.empty((chunk, 1, n, b))  # eta axis of 1: e += v[j] needs no broadcast at E=1
     states = np.empty((chunk, n_eta, n, m, b))
@@ -196,12 +220,17 @@ def _run_block(
     step_flat = step.reshape(n_eta, n, m * b)
     states_flat = states.reshape(chunk, n_eta, n, m * b)
 
+    ready = start(0)
     for t0 in range(0, horizon, chunk):
         tc = min(chunk, horizon - t0)
-        for i, gen in enumerate(gens):
-            gen.standard_normal(out=z[i, :tc])
-        np.matmul(ensemble._chol, z[:, :tc, :, :m].transpose(1, 2, 3, 0), out=u[:tc])
-        np.multiply(z[:, :tc, :, m].transpose(1, 2, 0), sig_v[:, None], out=v[:tc, 0])
+        k, j0 = divmod(t0, unit)
+        if j0 == 0:
+            ready()
+            if t0 + unit < horizon:
+                ready = start(t0 + unit)
+        z = draws[k % len(draws)][:, j0 : j0 + tc]
+        np.matmul(ensemble._chol, z[..., :m].transpose(1, 2, 3, 0), out=u[:tc])
+        np.multiply(z[..., m].transpose(1, 2, 0), sig_v[:, None], out=v[:tc, 0])
         for j in range(tc):
             # step = mu * gradient = mu u (u.X + v); then X <- A (X - step) + c
             np.einsum("nmb,enmb->enb", u[j], x, out=e)
@@ -257,7 +286,10 @@ def monte_carlo_many(
     monte_carlo returns for its config alone.  Runs are partitioned into
     fixed blocks of BLOCK_RUNS; blocks may execute on a thread pool
     (jobs > 1) but partial sums are always combined in block order, so the
-    results are a pure function of (ensemble, g, cfg) whatever jobs is.  A
+    results are a pure function of (ensemble, g, cfg) whatever jobs is.
+    When jobs is at least twice the block count, each block also has a
+    helper thread that draws its next unit of normals while the block
+    computes on the current one; no call runs more than jobs threads.  A
     horizon above MAX_HORIZON raises InvalidArgument.
     """
     cfgs = tuple(cfgs)
@@ -278,11 +310,14 @@ def monte_carlo_many(
         for lo in range(0, cfg.n_runs, BLOCK_RUNS)
     ]
     block = partial(_run_block, ensemble, g, cfg, reports, horizon, window_start)
-    if jobs <= 1 or len(blocks) == 1:
+    if jobs <= 1:
         partials = list(map(block, blocks))
     else:
+        # B blocks and at most one pending fill each fit in 2B <= jobs workers,
+        # so a block never waits for a fill that waits for a worker
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(block, blocks))
+            helper = pool if jobs >= 2 * len(blocks) else None
+            partials = list(pool.map(partial(block, helper=helper), blocks))
     # summed in fixed block order
     sum_reg, sum_tgt, agent_window = (reduce(np.add, p) for p in zip(*partials))
     curve_reg = sum_reg / cfg.n_runs

@@ -52,12 +52,23 @@ def line_graph() -> mt.Graph:
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """The library's source line count, then one pass/fail line per
-    acceptance criterion, at the end of the run."""
+    """The library's source line count, the three slowest tests' call
+    durations, then one pass/fail line per acceptance criterion, at the end
+    of the run."""
     sources = sorted(SRC_DIR.glob("*.py"))
     lines = sum(path.read_bytes().count(b"\n") for path in sources)
     terminalreporter.section("source size")
     terminalreporter.write_line(f"src/mtdiff: {lines} lines in {len(sources)} .py files")
+    calls = [
+        report
+        for reports in terminalreporter.stats.values()
+        for report in reports
+        if getattr(report, "when", None) == "call"
+    ]
+    if calls:
+        terminalreporter.section("slowest tests")
+        for report in sorted(calls, key=lambda r: r.duration, reverse=True)[:3]:
+            terminalreporter.write_line(f"{report.duration:8.2f} s  {report.nodeid}")
     mod = sys.modules.get("test_acceptance")
     if mod is None:
         return

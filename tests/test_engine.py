@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -407,3 +411,156 @@ class TestMonteCarloMany:
         assert (err.run_index, err.iteration) == (alone.value.run_index, alone.value.iteration)
         assert f"run {err.run_index} at eta=0 " in str(err)
         assert f"iteration {err.iteration}" in str(err)
+
+
+def _draw_unit(block_runs: int) -> int:
+    """Iterations per draw unit of a block of block_runs runs."""
+    return engine.CHUNK_ITERS * max(1, engine.BLOCK_RUNS // (2 * block_runs))
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Replace the engine's ThreadPoolExecutor with a subclass that records
+    every pool made, the threads that ran its tasks, the peak thread count
+    and how many tasks were unfinished when the pool began to shut down.
+    Setting ``delay`` makes each task sleep that long before it runs."""
+
+    class Recording(ThreadPoolExecutor):
+        made: list = []
+        delay = 0.0
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.futures, self.workers, self.peak_threads = [], set(), 0
+            self.unfinished_at_shutdown = None
+            self.lock = threading.Lock()
+            self.made.append(self)
+
+        def submit(self, fn, /, *args, **kwargs):
+            def task():
+                with self.lock:
+                    self.workers.add(threading.get_ident())
+                    self.peak_threads = max(self.peak_threads, threading.active_count())
+                time.sleep(self.delay)
+                return fn(*args, **kwargs)
+
+            future = super().submit(task)
+            self.futures.append(future)
+            return future
+
+        def shutdown(self, *args, **kwargs):
+            if self.unfinished_at_shutdown is None:
+                self.unfinished_at_shutdown = sum(not f.done() for f in self.futures)
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", Recording)
+    return Recording
+
+
+def _bounded(call, timeout: float = 120.0):
+    """Run call on its own thread; return its value or the exception it
+    raised, failing the test if it has not returned within timeout."""
+    out = []
+
+    def target():
+        try:
+            out.append(call())
+        except Exception as exc:  # handed back to the test, which inspects it
+            out.append(exc)
+
+    runner = threading.Thread(target=target)
+    runner.start()
+    runner.join(timeout)
+    assert not runner.is_alive(), f"the call had not returned after {timeout} s"
+    return out[0]
+
+
+# (runs, jobs) with one block at jobs = 2, one wide block at jobs = 4 and two
+# blocks at jobs = 4: each gives every block a helper that draws ahead
+DRAW_AHEAD = [(8, 2), (engine.BLOCK_RUNS, 4), (engine.BLOCK_RUNS + 8, 4)]
+
+
+class TestDrawAhead:
+    @pytest.mark.parametrize("n_etas", [1, 3])
+    @pytest.mark.parametrize("n_runs, jobs", DRAW_AHEAD, ids=["narrow", "wide", "two-blocks"])
+    def test_bitwise_equal_to_one_job(self, pools, line_graph, n_runs, jobs, n_etas):
+        """A horizon of three draw units of the narrowest block, then a
+        partial unit ending in a partial chunk: every array equals jobs=1."""
+        ens, base = _full_cov_problem()
+        narrowest = n_runs % engine.BLOCK_RUNS or engine.BLOCK_RUNS
+        horizon = 3 * _draw_unit(narrowest) + engine.CHUNK_ITERS + 5
+        base = replace(base, n_runs=n_runs, n_iters=horizon)
+        cfgs = [replace(base, eta=eta) for eta in MANY_ETAS[:n_etas]]
+        serial = mt.monte_carlo_many(ens, line_graph, cfgs, jobs=1)
+        assert not pools.made
+        threaded = mt.monte_carlo_many(ens, line_graph, cfgs, jobs=jobs)
+        (pool,) = pools.made
+        n_blocks = -(-n_runs // engine.BLOCK_RUNS)
+        assert len(pool.futures) > n_blocks  # the helpers drew units
+        for one, other in zip(serial, threaded):
+            assert np.array_equal(one.curve_vs_reg, other.curve_vs_reg)
+            assert np.array_equal(one.curve_vs_target, other.curve_vs_target)
+            assert np.array_equal(
+                one.steady_msd_per_agent_vs_reg, other.steady_msd_per_agent_vs_reg
+            )
+            assert one.steady_msd_vs_reg == other.steady_msd_vs_reg
+            assert one.steady_msd_vs_target == other.steady_msd_vs_target
+
+    @pytest.mark.parametrize("n_runs, jobs", DRAW_AHEAD, ids=["narrow", "wide", "two-blocks"])
+    def test_divergence_with_a_fill_pending(self, pools, n_runs, jobs):
+        """Each task waits 50 ms before it runs, so the fill of the unit after
+        the diverging one is still pending when the error is raised: the
+        error is jobs=1's, the call returns and its threads are gone."""
+        ens = _uniform_ensemble(5, 5)
+        g = mt.build_graph(0.2 * (np.ones((5, 5)) - np.eye(5)))
+        cfg = mt.SimConfig(mu=0.35, eta=0.0, n_iters=1000, n_runs=n_runs, seed=1)
+        with pytest.raises(mt.NumericalDivergence) as serial:
+            mt.monte_carlo(ens, g, cfg)
+        assert serial.value.iteration + _draw_unit(8) < cfg.n_iters  # not in the last unit
+        pools.delay = 0.05
+        before = threading.active_count()
+        err = _bounded(lambda: mt.monte_carlo(ens, g, cfg, jobs=jobs))
+        assert threading.active_count() == before
+        assert isinstance(err, mt.NumericalDivergence)
+        assert (err.run_index, err.iteration) == (serial.value.run_index, serial.value.iteration)
+        assert str(err) == str(serial.value)
+        (pool,) = pools.made
+        assert pool.unfinished_at_shutdown >= 1
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "n_runs", [8, engine.BLOCK_RUNS, engine.BLOCK_RUNS + 8, 3 * engine.BLOCK_RUNS]
+    )
+    def test_never_more_threads_than_jobs(self, pools, line_graph, n_runs, jobs):
+        """jobs=1 starts no thread; otherwise at most jobs threads run beside
+        the caller, with or without helpers, and all are gone afterwards."""
+        ens, base = _full_cov_problem()
+        cfg = replace(base, n_runs=n_runs, n_iters=3 * _draw_unit(8) + 5)
+        before = threading.active_count()
+        _bounded(lambda: mt.monte_carlo(ens, line_graph, cfg, jobs=jobs))
+        assert threading.active_count() == before
+        if jobs == 1:
+            assert not pools.made
+            return
+        (pool,) = pools.made
+        assert len(pool.workers) <= jobs
+        assert pool.peak_threads <= before + 1 + jobs  # with the calling thread
+
+    def test_bitwise_under_fast_thread_switching(self, line_graph):
+        """Four blocks (three wide, one narrow tail) with a helper each run
+        eight threads on fewer cores; with the interpreter switching threads
+        every microsecond, every array still equals jobs=1."""
+        ens, base = _full_cov_problem()
+        cfg = replace(base, n_runs=3 * engine.BLOCK_RUNS + 8, n_iters=3 * _draw_unit(8) + 69)
+        serial = mt.monte_carlo(ens, line_graph, cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = _bounded(lambda: mt.monte_carlo(ens, line_graph, cfg, jobs=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(serial.curve_vs_reg, threaded.curve_vs_reg)
+        assert np.array_equal(serial.curve_vs_target, threaded.curve_vs_target)
+        assert np.array_equal(
+            serial.steady_msd_per_agent_vs_reg, threaded.steady_msd_per_agent_vs_reg
+        )
