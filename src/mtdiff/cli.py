@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import MODULE_VERSIONS, __version__
-from .config import ExperimentConfig, build_ensemble, build_graph, load_config
+from .config import ExperimentConfig, build_ensemble, build_graph, load_config, validate
 from .engine import SimConfig, monte_carlo, monte_carlo_many
 from .errors import (
     ConfigError,
@@ -363,17 +363,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    algo = cfg.algo
-    if args.seed is not None:
-        if not (0 <= args.seed <= 0xFFFFFFFFFFFFFFFF):
-            raise ConfigError("--seed must fit in an unsigned 64-bit integer")
-        algo = replace(algo, seed=args.seed)
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be >= 1")
-        algo = replace(algo, jobs=args.jobs)
+    seed = cfg.algo.seed if args.seed is None else args.seed
+    jobs = cfg.algo.jobs if args.jobs is None else args.jobs
     output = cfg.output if args.out is None else replace(cfg.output, dir=args.out)
-    return replace(cfg, algo=algo, output=output)
+    return validate(replace(cfg, algo=replace(cfg.algo, seed=seed, jobs=jobs), output=output))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -182,7 +182,7 @@ def parse_config(text: str, *, base_dir: Path | None = None) -> ExperimentConfig
     """Parse flat-key text into an ExperimentConfig.
 
     Raises ConfigError (with a line number) on syntax errors, unknown or
-    duplicate keys, and unparsable values.
+    duplicate keys, and unparsable values, and from validate on the rest.
     """
     staged: dict[str, dict[str, Any]] = {name: {} for name in _SECTIONS}
     field_types = {
@@ -215,13 +215,12 @@ def parse_config(text: str, *, base_dir: Path | None = None) -> ExperimentConfig
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
         staged[section][name] = value
-    kwargs = {name: cls(**staged[name]) for name, cls in _SECTIONS.items()}
-    _validate(kwargs)
-    return ExperimentConfig(
-        **kwargs,
+    cfg = ExperimentConfig(
+        **{name: cls(**staged[name]) for name, cls in _SECTIONS.items()},
         sha256=hashlib.sha256(text.encode()).hexdigest(),
         base_dir=base_dir or Path("."),
     )
+    return validate(cfg)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -233,12 +232,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return parse_config(text, base_dir=p.parent)
 
 
-def _validate(sections: dict[str, Any]) -> None:
-    g: GraphSection = sections["graph"]
-    e: EnsembleSection = sections["ensemble"]
-    a: AlgoSection = sections["algo"]
-    o: OutputSection = sections["output"]
-    flt: FilterSection = sections["filter"]
+def validate(cfg: ExperimentConfig) -> ExperimentConfig:
+    """cfg once every key holds an admissible value, else ConfigError naming the key."""
+    g, e, a, o, flt = cfg.graph, cfg.ensemble, cfg.algo, cfg.output, cfg.filter
     if g.source not in ("generator", "edges"):
         raise ConfigError(f"graph.source must be generator or edges, got {g.source!r}")
     if g.source == "edges" and not g.path:
@@ -287,6 +283,7 @@ def _validate(sections: dict[str, Any]) -> None:
         raise ConfigError(
             "filter.lambda_max must be finite and > 0, filter.lambda_points >= 2"
         )
+    return cfg
 
 
 def build_graph(cfg: ExperimentConfig) -> Graph:

@@ -66,7 +66,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidArgument, NumericalDivergence
 from .graphs import Graph
 from .tasks import TaskEnsemble
-from .theory import TheoryReport, theory_report
+from .theory import TheoryReport, check_inputs, theory_report
 
 #: Runs per reduction block; fixed (never derived from the worker count) so the
 #: floating-point reduction order is schedule-independent.
@@ -111,10 +111,7 @@ class SimConfig:
     steady_window_frac: float = 0.1
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and self.mu > 0.0):
-            raise InvalidArgument("mu must be finite and positive")
-        if not (math.isfinite(self.eta) and self.eta >= 0.0):
-            raise InvalidArgument("eta must be finite and nonnegative")
+        check_inputs(None, None, self.mu, self.eta)
         for name in ("n_iters", "n_runs", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise InvalidArgument(f"{name} must be an integer")

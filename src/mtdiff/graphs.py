@@ -11,6 +11,7 @@ stored flat (length N*M) with block k belonging to node k.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from .errors import (
     DimensionMismatch,
     Disconnected,
     GraphError,
+    InvalidArgument,
     MtdiffError,
     NegativeWeight,
     NonzeroDiagonal,
@@ -222,12 +224,15 @@ def random_geometric_graph(
 ) -> Graph:
     """Seeded random geometric graph with a connectivity retry loop.
 
-    Nodes are dropped uniformly in the unit square and joined (with the given
-    uniform weight) when closer than `radius`.  Draws are repeated up to
-    `max_tries` times until the sample is connected and, when `max_degree` is
-    set, no node has more than that many neighbors.  The cap exists so that
-    heavily-regularized runs stay inside the stability region.
+    Nodes (n >= 1 of them and a seed >= 0, both integers, else InvalidArgument)
+    are dropped uniformly in the unit square and joined (with the given uniform
+    weight) when closer than `radius`.  Draws repeat up to `max_tries` times
+    until the sample is connected and, when `max_degree` is set, no node has
+    more neighbors than that; the cap keeps heavily-regularized runs stable.
     """
+    for name, value, low in (("n", n, 1), ("seed", seed, 0)):
+        if not (isinstance(value, numbers.Integral) and value >= low):
+            raise InvalidArgument(f"{name} must be an integer >= {low}, got {value!r}")
     rng = np.random.default_rng(seed)
     failures: dict[str, int] = {}  # reason -> number of draws it rejected
     detail = ""

@@ -10,11 +10,12 @@ cooperation between neighbors worthwhile in the first place.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, MtdiffError
+from .errors import DimensionMismatch, InvalidArgument, MtdiffError
 from .graphs import Graph, StackedSignal
 
 
@@ -164,8 +165,10 @@ def varying_profile(
     given ranges.  This is a documented stand-in for heterogeneous hardware:
     the reference experiment publishes its per-node variances only as a plot,
     so the exact values are not reproducible and we settle for "same flavor,
-    fixed seed".
+    fixed seed".  InvalidArgument unless seed is an integer >= 0.
     """
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise InvalidArgument(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     n = targets.n_agents
     su = rng.uniform(*sigma_u_sq_range, size=n)

@@ -39,9 +39,9 @@ which raises SingularSystem when the stack is numerically singular.
 
 theory_report is the one entry point for a (mu, eta) point: it checks
 stability, solves W0_eta and computes the bias once, and its report carries
-all three.  optimize_eta evaluates it over a grid, bias_surface computes the
-bias alone over a (mu, eta) grid with one solve per eta, and the engine's
-monte_carlo runs against a report.
+all three; optimize_eta, bias_surface and the engine build on it.  The one
+input check, check_inputs (matching sizes, finite mu > 0, finite eta >= 0),
+runs first in check_stability, solve_regularized and the engine's SimConfig.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidArgument, SingularSystem, UnstableConfiguration
-from .graphs import Graph, StackedSignal
+from .graphs import Graph, StackedSignal, _check_signal
 from .tasks import TaskEnsemble
 
 _UNIT_ROUNDOFF = 2.0**-53
@@ -94,6 +94,19 @@ class StabilityVerdict:
         ]
 
 
+def check_inputs(
+    ensemble: TaskEnsemble | None, g: Graph | None, mu: float | None, eta: float
+) -> None:
+    """DimensionMismatch unless the ensemble's targets fit g, InvalidArgument unless
+    mu is finite and > 0 and eta finite and >= 0; a None argument is not checked."""
+    if ensemble is not None:
+        _check_signal(ensemble.targets, g)
+    if mu is not None and not (math.isfinite(mu) and mu > 0.0):
+        raise InvalidArgument(f"mu must be finite and positive, got {mu!r}")
+    if not (math.isfinite(eta) and eta >= 0.0):
+        raise InvalidArgument(f"eta must be finite and nonnegative, got {eta!r}")
+
+
 def check_stability(
     ensemble: TaskEnsemble, g: Graph, mu: float, eta: float
 ) -> StabilityVerdict:
@@ -102,8 +115,9 @@ def check_stability(
     The combine step must contract on the graph (mu*eta against both the
     Laplacian spectral radius and the heaviest weighted neighborhood), and the
     adapt step must contract against the stiffest local curvature.  Returns a
-    verdict listing each condition with its margin instead of raising.
+    verdict with each condition's margin; raises only check_inputs' errors.
     """
+    check_inputs(ensemble, g, mu, eta)
     lam_max = g.lambda_max
     max_deg = g.max_degree
     curv = float(ensemble.regressor_eigvals.max())
@@ -195,8 +209,7 @@ def solve_regularized(ensemble: TaskEnsemble, g: Graph, eta: float) -> Regulariz
     eta = 0 returns the per-node targets themselves; as eta grows every block
     is pulled toward the common consensus solution.
     """
-    if eta < 0.0:
-        raise InvalidArgument("eta must be nonnegative")
+    check_inputs(ensemble, g, None, eta)
     n, m = ensemble.n_agents, ensemble.dim
     targets = ensemble.targets.values
     if eta == 0.0:
@@ -386,7 +399,7 @@ def optimize_eta(
     grid = np.asarray(grid, dtype=float).reshape(-1)
     if grid.size == 0:
         raise InvalidArgument("eta grid must be nonempty")
-    if np.any(np.diff(grid) <= 0.0):
+    if np.any(grid[1:] <= grid[:-1]):  # no inf - inf warning, unlike np.diff
         raise InvalidArgument("eta grid must be strictly ascending")
     if grid[0] != 0.0:
         raise InvalidArgument("eta grid must include 0")

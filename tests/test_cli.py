@@ -19,6 +19,8 @@ from mtdiff import config
 from mtdiff.cli import main
 from mtdiff.config import build_ensemble, build_graph, load_config
 
+from test_theory import _entry_points
+
 RING = "\n".join(f"{k} {k % 5 + 1} 0.2" for k in range(1, 6)) + "\n"
 
 BASE = {
@@ -510,17 +512,23 @@ class TestErrorPaths:
         assert "Traceback" not in err
         assert not out.exists()
 
-    def test_bad_seed_override_exits_2(self, tmp_path):
+    def test_bad_seed_override_exits_2(self, tmp_path, capsys):
+        """--seed is checked by config.validate, like the algo.seed key."""
         cfg = _write_config(tmp_path)
-        assert main(
-            ["theory", "--config", str(cfg), "--out", str(tmp_path / "r"), "--seed", "-1"]
-        ) == 2
+        out = tmp_path / "r"
+        for seed in ("-1", str(2**64)):
+            assert main(["theory", "--config", str(cfg), "--out", str(out), "--seed", seed]) == 2
+            err = capsys.readouterr().err
+            assert err == "config error: algo.seed must fit in an unsigned 64-bit integer\n"
+            assert not out.exists()
 
     def test_zero_jobs_override_exits_2(self, tmp_path, capsys):
+        """--jobs is checked by config.validate, like the algo.jobs key."""
         cfg = _write_config(tmp_path)
         out = tmp_path / "r"
         assert main(["simulate", "--config", str(cfg), "--out", str(out), "--jobs", "0"]) == 2
-        assert "--jobs must be >= 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "config error: algo.n_iters >= 0, n_runs >= 1 and jobs >= 1 required\n"
         assert not out.exists()
 
     def test_version_flag(self, capsys):
@@ -663,3 +671,56 @@ class TestConfigFuzz:
         got, err, numbers = _run_bundled(command, entries, tmp_path)
         assert got == code, err
         assert all(math.isfinite(v) for v in numbers)
+
+
+def _ring_problem():
+    """The RING graph (5 nodes, weight 0.2) with a seeded two-component profile."""
+    g = mt.build_graph(0.2 * (np.roll(np.eye(5), 1, axis=1) + np.roll(np.eye(5), -1, axis=1)))
+    return mt.varying_profile(mt.make_smooth_target(g, [2.0, 3.0], 2), seed=7), g
+
+
+RING_ENSEMBLE, RING_GRAPH = _ring_problem()
+
+
+def _all_finite(*values):
+    return all(np.all(np.isfinite(v)) for v in values)
+
+
+def _report_ok(r):
+    """A report's numbers are finite and its three deviations nonnegative."""
+    values = (r.msd_total, r.msd_per_frequency, r.msd_noncoop, r.msd_bar, r.mismatch_sq)
+    values += (r.bias_cross_term, r.bias_vector, r.bias_sq_norm)
+    return _all_finite(*values) and min(r.msd_total, r.msd_bar, r.msd_noncoop) >= 0.0
+
+
+class TestLibraryFuzz:
+    """mu and eta drawn from the config fuzzer's extremes and from every float:
+    check_stability, theory_report, solve_regularized and optimize_eta (on the
+    grid 0, eta, 2 eta), on a 5-node ring, each raise an MtdiffError or return
+    finite numbers, with nonnegative deviations, and no numpy RuntimeWarning."""
+
+    @given(
+        mu=st.one_of(st.sampled_from(EXTREMES).map(float), st.floats()),
+        eta=st.one_of(st.sampled_from(EXTREMES).map(float), st.floats()),
+    )
+    def test_operating_point(self, mu, eta):
+        calls = _entry_points(RING_ENSEMBLE, RING_GRAPH, mu, eta)
+        for name in ("check_stability", "theory_report", "solve_regularized", "optimize_eta"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    result = calls[name]()
+                except mt.MtdiffError:
+                    continue
+            if name == "check_stability":
+                # an overflowing mu * eta reads inf, and fails its condition
+                values = [x for c in result.conditions for x in (c.value, c.bound)]
+                assert not np.any(np.isnan(values))
+                assert not result.ok or _all_finite(values)
+            elif name == "theory_report":
+                assert _report_ok(result)
+            elif name == "solve_regularized":
+                assert _all_finite(result.solution.values, result.mismatch_sq)
+            else:
+                assert _all_finite(result.eta_star, result.msd_bar_curve)
+                assert all(_report_ok(r) for r in result.reports)

@@ -233,6 +233,15 @@ class TestGenerator:
         with pytest.raises(mt.Disconnected):
             mt.random_geometric_graph(30, 0.01, seed=0, max_tries=5)
 
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [((-3, 0.3), {}), ((2.5, 0.3), {}), ((0, 0.3), {}), ((5, 0.9), {"seed": -1})],
+        ids=["negative-n", "fractional-n", "zero-n", "negative-seed"],
+    )
+    def test_rejects_bad_arguments(self, args, kwargs):
+        with pytest.raises(mt.InvalidArgument):
+            mt.random_geometric_graph(*args, **kwargs)
+
 
 class TestSignalsAndTransforms:
     def test_gft_round_trip(self, bench_graph):

@@ -74,6 +74,11 @@ class TestProfiles:
         assert np.all((diag >= 0.8) & (diag <= 1.2))
         assert np.all((e1.noise_var >= 0.05) & (e1.noise_var <= 0.15))
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_varying_rejects_bad_seed(self, smooth_targets, seed):
+        with pytest.raises(mt.InvalidArgument, match="seed"):
+            mt.varying_profile(smooth_targets, seed=seed)
+
     def test_curvature_spectrum_is_stored_read_only(self, het_ensemble):
         eigvals = het_ensemble.regressor_eigvals
         assert eigvals.shape == (15, 5) and not eigvals.flags.writeable

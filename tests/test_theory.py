@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,10 +169,11 @@ class TestOptimizeEta:
             )
         assert sweep.eta_star == grid[np.argmin(sweep.msd_bar_curve)]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "grid",
-        [[], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0], [1.0, 2.0]],
-        ids=["empty", "descending", "duplicate", "missing-zero"],
+        [[], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0], [1.0, 2.0], [0.0, np.inf, np.inf]],
+        ids=["empty", "descending", "duplicate", "missing-zero", "duplicate-inf"],
     )
     def test_bad_grids_rejected(self, het_ensemble, bench_graph, grid):
         with pytest.raises(ValueError):
@@ -249,6 +252,54 @@ class TestBiasSurface:
         assert "laplacian-spectrum" in exc.value.failed
         assert "laplacian-spectrum" in str(exc.value)
         assert solved == []
+
+
+def _entry_points(ens, g, mu, eta):
+    """Every library entry point for the operating point (mu, eta), as a call."""
+    return {
+        "check_stability": lambda: mt.check_stability(ens, g, mu, eta),
+        "theory_report": lambda: mt.theory_report(ens, g, mu, eta),
+        "optimize_eta": lambda: mt.optimize_eta(ens, g, mu, [0.0, eta, 2.0 * eta]),
+        "bias_surface": lambda: mt.bias_surface(ens, g, [mu], [eta]),
+        "solve_regularized": lambda: mt.solve_regularized(ens, g, eta),
+        "monte_carlo": lambda: mt.monte_carlo(
+            ens, g, mt.SimConfig(mu=mu, eta=eta, n_iters=10)
+        ),
+    }
+
+
+POINT_ENTRIES = ["check_stability", "theory_report", "optimize_eta", "bias_surface"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestOneInputCheck:
+    """theory.check_inputs owns the operating point's input rules: each entry
+    point raises its typed error, not a verdict, a number or a numpy error."""
+
+    @pytest.mark.parametrize("entry", POINT_ENTRIES)
+    @pytest.mark.parametrize("mu", [0.0, -1e-3, math.nan, math.inf])
+    def test_bad_mu(self, het_ensemble, bench_graph, entry, mu):
+        with pytest.raises(mt.InvalidArgument):
+            _entry_points(het_ensemble, bench_graph, mu, 1.0)[entry]()
+
+    @pytest.mark.parametrize("entry", POINT_ENTRIES + ["solve_regularized"])
+    @pytest.mark.parametrize("eta", [-0.5, math.nan, math.inf])
+    def test_bad_eta(self, het_ensemble, bench_graph, entry, eta):
+        with pytest.raises(mt.InvalidArgument):
+            _entry_points(het_ensemble, bench_graph, 1e-3, eta)[entry]()
+
+    @pytest.mark.parametrize("entry", POINT_ENTRIES + ["solve_regularized", "monte_carlo"])
+    def test_size_mismatch_before_any_block(
+        self, monkeypatch, het_ensemble, line_graph, entry
+    ):
+        """A 15-agent ensemble on a 5-node graph."""
+
+        def no_block(*args, **kwargs):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(mt.engine, "_run_block", no_block)
+        with pytest.raises(mt.DimensionMismatch):
+            _entry_points(het_ensemble, line_graph, 1e-3, 1.0)[entry]()
 
 
 def _uniform_cov_problem(seed: int, n: int = 4, m: int = 2):
