@@ -67,7 +67,7 @@ __version__ = "0.1.0"
 # Bumped whenever a module's numerical behavior changes; recorded in every
 # output file's metadata header so results stay attributable.
 MODULE_VERSIONS = {
-    "graphs": 1,
+    "graphs": 2,
     "tasks": 2,
     "engine": 2,
     "theory": 5,

@@ -12,12 +12,13 @@ All take ``--config`` (flat-key file, see config.py) plus optional ``--out``,
 ``--seed`` and ``--jobs`` overrides.  A command computes and prints; it does
 not touch the file system.  It returns its tables and charts as ``Outputs``,
 and ``write_outputs`` writes them once the command has succeeded, so a
-command that fails writes nothing.  Outputs are CSV (always linear scale)
-and native SVG (decibels applied at render time); every file starts with
-``#``-prefixed metadata lines carrying the config digest, the effective seed
-and the module versions.  Exit codes: 0 ok, 2 config or other input error
-(including an unreadable input file and an unwritable ``--out``),
-3 stability violation, 4 numerical divergence or singular system.
+command that fails writes nothing.  Outputs are CSV (linear scale, except
+bias_scan.csv's bias_db columns) and native SVG (decibels applied at render
+time); every file starts with ``#``-prefixed metadata lines carrying the
+config digest, the effective seed and the module versions.  Exit codes: 0 ok,
+2 config or other input error (including an unreadable input file and an
+unwritable ``--out``), 3 stability violation, 4 numerical divergence or
+singular system.
 """
 
 from __future__ import annotations
@@ -299,32 +300,21 @@ def cmd_filter_response(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> O
         return 1.0 / (1.0 + eta * lam / lam_u_max)
 
     lam_grid = np.linspace(0.0, cfg.filter.lambda_max, cfg.filter.lambda_points)
-    rows = []
+    base_norms = np.linalg.norm(gft(ens.targets, g).blocks, axis=1)
+    rows, target_rows, series, lines = [], [], [], []
     for eta in cfg.algo.eta:
-        for lam in lam_grid:
-            rows.append([eta, float(lam), gain(eta, float(lam))])
-
-    base_blocks = gft(ens.targets, g).blocks
-    base_norms = np.linalg.norm(base_blocks, axis=1)
-    target_rows = []
-    for eta in cfg.algo.eta:
-        reg = solve_regularized(ens, g, eta)
-        norms = np.linalg.norm(gft(reg.solution, g).blocks, axis=1)
-        for m in range(g.n_agents):
-            lam = float(g.eigenvalues[m])
+        gains = [gain(eta, float(lam)) for lam in lam_grid]
+        rows += [[eta, float(lam), v] for lam, v in zip(lam_grid, gains)]
+        series.append(Series(f"eta={eta:g}", lam_grid, gains))
+        lines.append(f"eta={eta:g}: gain at lambda={lam_grid[-1]:g} is {gains[-1]:.4f}")
+        norms = np.linalg.norm(gft(solve_regularized(ens, g, eta).solution, g).blocks, axis=1)
+        for m, lam in enumerate(g.eigenvalues.tolist()):
             ratio = float(norms[m] / base_norms[m]) if base_norms[m] > 0.0 else None
             target_rows.append([eta, m + 1, lam, ratio, gain(eta, lam)])
-
-    series = [
-        Series(f"eta={eta:g}", lam_grid, [gain(eta, float(lam)) for lam in lam_grid])
-        for eta in cfg.algo.eta
-    ]
     chart = dict(
         title="regularization filter gain", x_label="graph frequency lambda", y_label="gain"
     )
-    for eta in cfg.algo.eta:
-        worst = gain(eta, float(lam_grid[-1]))
-        print(f"eta={eta:g}: gain at lambda={lam_grid[-1]:g} is {worst:.4f}")
+    print("\n".join(lines))
     tables = {
         "filter.csv": (["eta", "lambda", "ratio"], rows),
         "filter_targets.csv": (["eta", "m", "lambda_m", "ratio", "bound"], target_rows),

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -138,15 +138,6 @@ class FilterSection:
     lambda_points: int = 25
 
 
-_SECTIONS: dict[str, type] = {
-    "graph": GraphSection,
-    "ensemble": EnsembleSection,
-    "algo": AlgoSection,
-    "output": OutputSection,
-    "sweep": SweepSection,
-    "filter": FilterSection,
-}
-
 # annotation string -> value parser (sections use `from __future__ import
 # annotations`, so dataclass fields carry their types as strings)
 _VALUE_PARSERS: dict[str, Callable[[str], Any]] = {
@@ -176,6 +167,12 @@ class ExperimentConfig:
         """Interpret a path value relative to the config file's directory."""
         p = Path(path_str)
         return p if p.is_absolute() else self.base_dir / p
+
+
+# section name -> section class: ExperimentConfig's dataclass-valued fields, in order
+_SECTIONS: dict[str, type] = {
+    f.name: f.default_factory for f in fields(ExperimentConfig) if is_dataclass(f.default_factory)
+}
 
 
 def parse_config(text: str, *, base_dir: Path | None = None) -> ExperimentConfig:
@@ -209,9 +206,8 @@ def parse_config(text: str, *, base_dir: Path | None = None) -> ExperimentConfig
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen.add(key)
-        annotation = f.type if isinstance(f.type, str) else getattr(f.type, "__name__", str(f.type))
         try:
-            value = _VALUE_PARSERS[annotation](raw)
+            value = _VALUE_PARSERS[f.type](raw)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
         staged[section][name] = value

@@ -57,7 +57,7 @@ from __future__ import annotations
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial, reduce
 from typing import Sequence
 
@@ -264,7 +264,7 @@ def _check_shared(cfgs: tuple[SimConfig, ...]) -> SimConfig:
         raise InvalidArgument("monte_carlo_many needs at least one config")
     base = cfgs[0]
     for cfg in cfgs[1:]:
-        for name in ("mu", "n_iters", "n_runs", "seed", "init", "steady_window_frac"):
+        for name in (f.name for f in fields(SimConfig) if f.name != "eta"):
             if not np.array_equal(getattr(cfg, name), getattr(base, name)):
                 raise InvalidArgument(
                     f"monte_carlo_many configs must differ only in eta; their {name} differ"

@@ -73,8 +73,8 @@ class StackedSignal:
 class Graph:
     """Weighted undirected graph with its full Laplacian eigendecomposition.
 
-    eigenvalues are ascending; eigenvectors[:, m] is the (sign-fixed) unit
-    eigenvector for eigenvalues[m].
+    eigenvalues are ascending from the structural zero, eigenvalues[0] = 0.0
+    exactly; eigenvectors[:, m] is the (sign-fixed) unit eigenvector for eigenvalues[m].
     """
 
     n_agents: int
@@ -152,6 +152,7 @@ def build_graph(adjacency: np.ndarray) -> Graph:
             f"graph is disconnected (lambda_2 = {eigvals[1]:.3e} <= "
             f"{CONNECTIVITY_TOLERANCE})"
         )
+    eigvals[0] = 0.0  # a connected Laplacian has exactly one zero eigenvalue
 
     for arr in (adj, laplacian, eigvals, eigvecs, degrees):
         arr.setflags(write=False)

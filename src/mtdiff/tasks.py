@@ -117,10 +117,7 @@ def make_smooth_target(g: Graph, tau: np.ndarray, dim: int) -> StackedSignal:
         raise DimensionMismatch(f"tau must have {dim} entries, got {tau.size}")
     if not np.all(np.isfinite(tau) & (tau >= 0.0)):
         raise MtdiffError("tau entries must be finite and nonnegative")
-    # lambda_1 is the connected graph's structural zero; eigh returns it as
-    # rounding noise of size eps * lambda_max, which breaks exp at large weights
-    lam = np.concatenate(([0.0], g.eigenvalues[1:]))[:, None]  # (N, 1)
-    spectral = np.exp(-lam * tau[None, :]) / np.sqrt(dim)  # (N, M)
+    spectral = np.exp(-g.eigenvalues[:, None] * tau[None, :]) / np.sqrt(dim)  # (N, M)
     return StackedSignal.from_blocks(g.eigenvectors @ spectral)
 
 

@@ -41,7 +41,8 @@ theory_report is the one entry point for a (mu, eta) point: it checks
 stability, solves W0_eta and computes the bias once, and its report carries
 all three; optimize_eta, bias_surface and the engine build on it.  The one
 input check, check_inputs (matching sizes, finite mu > 0, finite eta >= 0),
-runs first in check_stability, solve_regularized and the engine's SimConfig.
+runs first in check_stability, solve_regularized, msd_noncoop and the
+engine's SimConfig, and hands the first three mu and eta as Python floats.
 """
 
 from __future__ import annotations
@@ -96,15 +97,17 @@ class StabilityVerdict:
 
 def check_inputs(
     ensemble: TaskEnsemble | None, g: Graph | None, mu: float | None, eta: float
-) -> None:
+) -> tuple[float | None, float]:
     """DimensionMismatch unless the ensemble's targets fit g, InvalidArgument unless
-    mu is finite and > 0 and eta finite and >= 0; a None argument is not checked."""
+    mu is finite and > 0 and eta finite and >= 0; a None argument is not checked.
+    Returns mu and eta as Python floats, whose products overflow to inf silently."""
     if ensemble is not None:
         _check_signal(ensemble.targets, g)
     if mu is not None and not (math.isfinite(mu) and mu > 0.0):
         raise InvalidArgument(f"mu must be finite and positive, got {mu!r}")
     if not (math.isfinite(eta) and eta >= 0.0):
         raise InvalidArgument(f"eta must be finite and nonnegative, got {eta!r}")
+    return (None if mu is None else float(mu)), float(eta)
 
 
 def check_stability(
@@ -117,7 +120,7 @@ def check_stability(
     adapt step must contract against the stiffest local curvature.  Returns a
     verdict with each condition's margin; raises only check_inputs' errors.
     """
-    check_inputs(ensemble, g, mu, eta)
+    mu, eta = check_inputs(ensemble, g, mu, eta)
     lam_max = g.lambda_max
     max_deg = g.max_degree
     curv = float(ensemble.regressor_eigvals.max())
@@ -183,7 +186,7 @@ def _spd_solve(mat: np.ndarray, rhs: np.ndarray, kappa: float = math.inf) -> np.
     n = mat.shape[-1]
     if kappa * n * (n + 1) * _UNIT_ROUNDOFF <= 0.5:
         return np.linalg.solve(mat, rhs)
-    vals, vecs = np.linalg.eigh(0.5 * (mat + np.swapaxes(mat, -1, -2)))
+    vals, vecs = np.linalg.eigh(0.5 * mat + 0.5 * np.swapaxes(mat, -1, -2))  # no overflow
     top = np.maximum(1.0, vals.max(axis=-1, keepdims=True))
     if np.any(vals <= 1e-14 * top):
         raise SingularSystem(
@@ -206,10 +209,12 @@ def _lu_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def solve_regularized(ensemble: TaskEnsemble, g: Graph, eta: float) -> RegularizedSolution:
     """Minimize the regularized network cost at penalty strength eta >= 0.
 
-    eta = 0 returns the per-node targets themselves; as eta grows every block
-    is pulled toward the common consensus solution.
+    eta = 0 returns the per-node targets, and a growing eta pulls every block
+    toward the consensus solution; SingularSystem when eta * lambda_max(L) overflows.
     """
-    check_inputs(ensemble, g, None, eta)
+    eta = check_inputs(ensemble, g, None, eta)[1]
+    if not math.isfinite(eta * g.lambda_max):
+        raise SingularSystem(f"eta * lambda_max(L) overflows at eta={eta!r}")
     n, m = ensemble.n_agents, ensemble.dim
     targets = ensemble.targets.values
     if eta == 0.0:
@@ -344,6 +349,7 @@ def msd_noncoop(ensemble: TaskEnsemble, mu: float) -> float:
     target, which for the built-in quadratic model (R_{s,k} = sigma_v,k^2 H_k)
     is mu * M * sigma_v,k^2 / 2; the network value is their mean.
     """
+    mu = check_inputs(None, None, mu, 0.0)[0]
     return mu * ensemble.dim * float(ensemble.noise_var.mean()) / 2.0
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import mtdiff as mt
@@ -21,6 +21,7 @@ from mtdiff.config import build_ensemble, build_graph, load_config
 
 from test_theory import _entry_points
 
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 RING = "\n".join(f"{k} {k % 5 + 1} 0.2" for k in range(1, 6)) + "\n"
 
 BASE = {
@@ -338,6 +339,25 @@ class TestFilterResponseCommand:
             ["filter-response", "--config", str(cfg), "--out", str(tmp_path / "r")]
         ) == 2
 
+    @pytest.mark.parametrize("weight", ["1e10", "3e10"])
+    def test_heavy_weights_keep_the_low_pass_bound(self, tmp_path, weight):
+        """The bundled filter config with heavy edges: every bound is at most
+        1, and the consensus rows read lambda_m = 0 and bound = 1 exactly.
+        The measured ratio is not compared with the bound here: at weight
+        1e10 the regularized solve is ill-conditioned (about 1e13) and its
+        m = 1 ratio reads 1.0005."""
+        text = (CONFIG_DIR / "filter.conf").read_text()
+        assert "graph.weight = 0.1\n" in text
+        cfg = tmp_path / "heavy.conf"
+        cfg.write_text(text.replace("graph.weight = 0.1\n", f"graph.weight = {weight}\n"))
+        out = tmp_path / "res"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["filter-response", "--config", str(cfg), "--out", str(out)]) == 0
+        _, header, rows = _read_csv(out / "filter_targets.csv")
+        assert all(float(row[4]) <= 1.0 for row in rows)
+        first = [row for row in rows if row[1] == "1"]
+        assert first and all((row[2], row[4]) == ("0.0", "1.0") for row in first)
+
 
 #: per-subcommand overrides of BASE that give each command every one of its files
 COMMAND_OVERRIDES = {
@@ -422,6 +442,18 @@ class TestErrorPaths:
             (tmp_path / name).write_text(text)
         assert main(["theory", "--config", str(cfg), "--out", str(tmp_path / "res")]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_overflowing_eta_laplacian_exits_4(self, tmp_path, capsys):
+        """eta * lambda_max(L) = 1e308 * 4 on a unit-weight 8-ring overflows:
+        SingularSystem before any matrix is built, not a numpy traceback."""
+        unit_ring = "".join(f"{k} {k % 8 + 1} 1\n" for k in range(1, 9))
+        (tmp_path / "unit.edges").write_text(unit_ring)
+        cfg = _write_config(tmp_path, {"graph.path": "unit.edges", "algo.eta": "0, 1e308"})
+        out = tmp_path / "res"
+        assert main(["filter-response", "--config", str(cfg), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and "Traceback" not in err
+        assert not out.exists()
 
     def test_unknown_key_exits_2_without_output(self, tmp_path):
         cfg = _write_config(tmp_path, {"algo.bogus": "1"})
@@ -576,7 +608,6 @@ SIZE_CAPS = {
 }
 EXTREMES = ["0", "-0.0", "-1", "5e-324", "2.2e-308", "1e-300", "1e300", "1e308"]
 EXTREMES += ["-1e308", "inf", "-inf", "nan", str(2**64), str(-(2**63))]
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _bundled_entries(command):
@@ -673,13 +704,21 @@ class TestConfigFuzz:
         assert all(math.isfinite(v) for v in numbers)
 
 
-def _ring_problem():
-    """The RING graph (5 nodes, weight 0.2) with a seeded two-component profile."""
-    g = mt.build_graph(0.2 * (np.roll(np.eye(5), 1, axis=1) + np.roll(np.eye(5), -1, axis=1)))
+def _ring_problem(weight):
+    """A 5-node ring of the given edge weight with a seeded two-component profile."""
+    g = mt.build_graph(weight * (np.roll(np.eye(5), 1, axis=1) + np.roll(np.eye(5), -1, axis=1)))
     return mt.varying_profile(mt.make_smooth_target(g, [2.0, 3.0], 2), seed=7), g
 
 
-RING_ENSEMBLE, RING_GRAPH = _ring_problem()
+#: the RING graph (weight 0.2, lambda_max below 1) and a unit-weight ring, on
+#: which an overflowing eta * lambda_max(L) is reachable from a finite eta
+RING_PROBLEMS = [_ring_problem(0.2), _ring_problem(1.0)]
+#: a fuzzed operating-point value, as a Python float or as a numpy float64
+POINT_VALUE = st.builds(
+    lambda x, cast: cast(x),
+    st.one_of(st.sampled_from(EXTREMES).map(float), st.floats()),
+    st.sampled_from([float, np.float64]),
+)
 
 
 def _all_finite(*values):
@@ -694,33 +733,36 @@ def _report_ok(r):
 
 
 class TestLibraryFuzz:
-    """mu and eta drawn from the config fuzzer's extremes and from every float:
-    check_stability, theory_report, solve_regularized and optimize_eta (on the
-    grid 0, eta, 2 eta), on a 5-node ring, each raise an MtdiffError or return
-    finite numbers, with nonnegative deviations, and no numpy RuntimeWarning."""
+    """mu and eta drawn from the config fuzzer's extremes and from every float,
+    each as a Python float or a numpy float64: check_stability, theory_report,
+    solve_regularized and optimize_eta (on the grid 0, eta, 2 eta), on a 5-node
+    ring of weight 0.2 and on one of weight 1, each raise an MtdiffError or
+    return finite numbers, with nonnegative deviations, and no numpy
+    RuntimeWarning."""
 
-    @given(
-        mu=st.one_of(st.sampled_from(EXTREMES).map(float), st.floats()),
-        eta=st.one_of(st.sampled_from(EXTREMES).map(float), st.floats()),
-    )
+    @given(mu=POINT_VALUE, eta=POINT_VALUE)
+    @example(mu=np.float64(1e300), eta=np.float64(1e300))  # mu * eta overflowed
+    @example(mu=1e-3, eta=1e308)  # eta * L overflowed on the unit ring
+    @example(mu=5e-324, eta=4.8e307)  # so did A + A' in the eigendecomposition route
     def test_operating_point(self, mu, eta):
-        calls = _entry_points(RING_ENSEMBLE, RING_GRAPH, mu, eta)
-        for name in ("check_stability", "theory_report", "solve_regularized", "optimize_eta"):
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                try:
-                    result = calls[name]()
-                except mt.MtdiffError:
-                    continue
-            if name == "check_stability":
-                # an overflowing mu * eta reads inf, and fails its condition
-                values = [x for c in result.conditions for x in (c.value, c.bound)]
-                assert not np.any(np.isnan(values))
-                assert not result.ok or _all_finite(values)
-            elif name == "theory_report":
-                assert _report_ok(result)
-            elif name == "solve_regularized":
-                assert _all_finite(result.solution.values, result.mismatch_sq)
-            else:
-                assert _all_finite(result.eta_star, result.msd_bar_curve)
-                assert all(_report_ok(r) for r in result.reports)
+        for ensemble, graph in RING_PROBLEMS:
+            calls = _entry_points(ensemble, graph, mu, eta)
+            for name in ("check_stability", "theory_report", "solve_regularized", "optimize_eta"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    try:
+                        result = calls[name]()
+                    except mt.MtdiffError:
+                        continue
+                if name == "check_stability":
+                    # an overflowing mu * eta reads inf, and fails its condition
+                    values = [x for c in result.conditions for x in (c.value, c.bound)]
+                    assert not np.any(np.isnan(values))
+                    assert not result.ok or _all_finite(values)
+                elif name == "theory_report":
+                    assert _report_ok(result)
+                elif name == "solve_regularized":
+                    assert _all_finite(result.solution.values, result.mismatch_sq)
+                else:
+                    assert _all_finite(result.eta_star, result.msd_bar_curve)
+                    assert all(_report_ok(r) for r in result.reports)

@@ -314,6 +314,25 @@ class TestConfigAndStability:
         curv = mt.check_stability(ens, bench_graph, 2.0, 0.0)
         assert not {c.name: c for c in curv.conditions}["local-curvature"].ok
 
+    def test_margin_is_negative_exactly_for_failed_conditions(self, bench_graph):
+        """margin = bound - value at a stable point, at a point that fails the
+        neighborhood bound alone and at one that fails all three; no point
+        sits on a bound, so the failed conditions are the negative margins."""
+        ens = _uniform_ensemble(15, 2)
+        g = bench_graph
+        between = 0.5 / g.max_degree + 1.0 / g.lambda_max  # in (1/max_deg, 2/lambda_max)
+        points = {
+            (1e-3, 5.0): [],
+            (1.0, between): ["neighborhood-weight"],
+            (3.0, 100.0): ["laplacian-spectrum", "neighborhood-weight", "local-curvature"],
+        }
+        for (mu, eta), failed in points.items():
+            conditions = mt.check_stability(ens, g, mu, eta).conditions
+            assert [c.name for c in conditions if not c.ok] == failed
+            for c in conditions:
+                assert c.margin == c.bound - c.value
+                assert (c.margin < 0.0) == (not c.ok)
+
     def test_unstable_simulation_refused(self, het_ensemble, bench_graph):
         cfg = mt.SimConfig(mu=1.0, eta=10.0, n_iters=10)
         with pytest.raises(mt.UnstableConfiguration):

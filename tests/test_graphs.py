@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from helpers import (
     fix_eigenvector_signs_loop,
     random_connected_adjacency,
 )
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def ring(n: int, w: float = 0.1) -> np.ndarray:
@@ -39,6 +43,21 @@ class TestBuildGraph:
         flat = np.full(g.n_agents, 1.0 / np.sqrt(g.n_agents))
         v1 = g.eigenvectors[:, 0]
         assert np.all(np.abs(np.abs(v1) - flat) < 1e-8)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: mt.random_geometric_graph(15, 0.35, weight=0.1, seed=9, max_degree=5),
+            lambda: mt.load_edge_list(CONFIG_DIR / "ring8.edges"),
+            lambda: mt.random_geometric_graph(15, 0.35, weight=1e10, seed=9, max_degree=5),
+        ],
+        ids=["bench", "ring8", "weight-1e10"],
+    )
+    def test_structural_zero_is_exact(self, make):
+        """lambda_1 is the connected Laplacian's structural zero, not eigh's
+        rounding of it (3.9e-17 on the bench graph, -6.6e-6 at weight 1e10),
+        so every reader of eigenvalues sees 0.0."""
+        assert make().eigenvalues[0] == 0.0
 
     def test_eigenvalues_sorted_nonnegative(self, bench_graph):
         lam = bench_graph.eigenvalues

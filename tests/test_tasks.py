@@ -29,8 +29,8 @@ def test_smooth_target_tau_zero_is_all_pass(bench_graph):
 
 @pytest.mark.parametrize("weight", [1e50, 1e100])
 def test_smooth_target_unit_norm_at_huge_weights(weight):
-    """The DC term is exp(0) whatever rounding noise eigh leaves in lambda_1,
-    so a smooth family keeps its unit norm however heavy the edges are."""
+    """The DC term is exp(0), because the graph's lambda_1 is exactly 0, so a
+    smooth family keeps its unit norm however heavy the edges are."""
     g = mt.random_geometric_graph(15, 0.35, weight=weight, seed=9, max_degree=5)
     tgt = mt.make_smooth_target(g, np.linspace(8.0, 12.0, 5), 5)
     assert np.linalg.norm(tgt.values) == pytest.approx(1.0, rel=1e-12, abs=0.0)

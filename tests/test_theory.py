@@ -259,8 +259,9 @@ def _entry_points(ens, g, mu, eta):
     return {
         "check_stability": lambda: mt.check_stability(ens, g, mu, eta),
         "theory_report": lambda: mt.theory_report(ens, g, mu, eta),
-        "optimize_eta": lambda: mt.optimize_eta(ens, g, mu, [0.0, eta, 2.0 * eta]),
+        "optimize_eta": lambda: mt.optimize_eta(ens, g, mu, [0.0, float(eta), 2.0 * float(eta)]),
         "bias_surface": lambda: mt.bias_surface(ens, g, [mu], [eta]),
+        "msd_noncoop": lambda: mt.msd_noncoop(ens, mu),
         "solve_regularized": lambda: mt.solve_regularized(ens, g, eta),
         "monte_carlo": lambda: mt.monte_carlo(
             ens, g, mt.SimConfig(mu=mu, eta=eta, n_iters=10)
@@ -276,7 +277,7 @@ class TestOneInputCheck:
     """theory.check_inputs owns the operating point's input rules: each entry
     point raises its typed error, not a verdict, a number or a numpy error."""
 
-    @pytest.mark.parametrize("entry", POINT_ENTRIES)
+    @pytest.mark.parametrize("entry", POINT_ENTRIES + ["msd_noncoop"])
     @pytest.mark.parametrize("mu", [0.0, -1e-3, math.nan, math.inf])
     def test_bad_mu(self, het_ensemble, bench_graph, entry, mu):
         with pytest.raises(mt.InvalidArgument):
