@@ -60,11 +60,7 @@ class Outputs(NamedTuple):
 
 
 def _cell(v: object) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return "" if v is None else str(v)
 
 
 def write_outputs(cfg: ExperimentConfig, command: str, out: Outputs) -> None:
@@ -101,7 +97,9 @@ def _db(x: float) -> str:
 
 
 def _slug(x: float) -> str:
-    return f"{x:g}".replace(".", "p").replace("-", "m").replace("+", "")
+    """%g if it reads back as x, else repr(x): distinct etas get distinct tags."""
+    text = f"{x:g}" if float(f"{x:g}") == x else repr(x)
+    return text.replace(".", "p").replace("-", "m").replace("+", "")
 
 
 def _single(values: tuple[float, ...], key: str) -> float:
@@ -127,14 +125,6 @@ def _sim_config(cfg: ExperimentConfig, mu: float, eta: float) -> SimConfig:
 
 def cmd_theory(cfg: ExperimentConfig, g: Graph, ens: TaskEnsemble) -> Outputs:
     mu = _single(cfg.algo.mu, "algo.mu")
-    slugs: dict[str, float] = {}
-    for eta in cfg.algo.eta:
-        other = slugs.setdefault(_slug(eta), eta)
-        if other != eta:
-            raise ConfigError(
-                f"algo.eta values {other!r} and {eta!r} would both write "
-                f"theory_freq_eta{_slug(eta)}.csv"
-            )
     reports = [theory_report(ens, g, mu, eta) for eta in cfg.algo.eta]
 
     rows = [

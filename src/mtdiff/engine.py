@@ -66,7 +66,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidArgument, NumericalDivergence
 from .graphs import Graph
 from .tasks import TaskEnsemble
-from .theory import TheoryReport, check_inputs, theory_report
+from .theory import TheoryReport, check_real, theory_report
 
 #: Runs per reduction block; fixed (never derived from the worker count) so the
 #: floating-point reduction order is schedule-independent.
@@ -98,8 +98,9 @@ def default_horizon(ensemble: TaskEnsemble, mu: float) -> int:
 class SimConfig:
     """Simulation parameters.
 
-    n_iters = 0 selects the default horizon.  init is the initial estimate,
-    N*M values in node order (defaults to zero).
+    mu and eta are kept as the Python floats check_real returns.  n_iters = 0
+    selects the default horizon.  init is the initial estimate, N*M values in
+    node order (defaults to zero).
     """
 
     mu: float
@@ -111,18 +112,21 @@ class SimConfig:
     steady_window_frac: float = 0.1
 
     def __post_init__(self):
-        check_inputs(None, None, self.mu, self.eta)
+        object.__setattr__(self, "mu", check_real("mu", self.mu, positive=True))
+        object.__setattr__(self, "eta", check_real("eta", self.eta, positive=False))
         for name in ("n_iters", "n_runs", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise InvalidArgument(f"{name} must be an integer")
         if self.n_iters < 0 or self.n_runs < 1:
             raise InvalidArgument("n_iters must be >= 0 and n_runs >= 1")
-        if not (0.0 < self.steady_window_frac <= 1.0):
+        if check_real("steady_window_frac", self.steady_window_frac, positive=True) > 1.0:
             raise InvalidArgument("steady_window_frac must lie in (0, 1]")
         if self.seed < 0 or self.seed > 0xFFFFFFFFFFFFFFFF:
             raise InvalidArgument("seed must fit in an unsigned 64-bit integer")
-        if self.init is not None and not np.all(np.isfinite(self.init)):
-            raise InvalidArgument("init must be finite")
+        if self.init is not None:
+            init = np.asarray(self.init)
+            if not (np.can_cast(init.dtype, float) and np.all(np.isfinite(init))):
+                raise InvalidArgument("init must hold finite real numbers")
 
     def horizon(self, ensemble: TaskEnsemble) -> int:
         return self.n_iters if self.n_iters > 0 else default_horizon(ensemble, self.mu)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from html import escape
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,14 +41,6 @@ class Series:
     y: Sequence[float]
     dash: str | None = None
     markers: bool = False
-
-
-def _fmt(v: float) -> str:
-    """Deterministic short form for tick labels."""
-    if v == 0.0:
-        return "0"
-    s = f"{v:.6g}"
-    return s
 
 
 def _px(v: float) -> str:
@@ -171,7 +164,7 @@ def line_chart(
         )
         out.append(
             f'<text x="{gx}" y="{_px(py0 + 16)}" text-anchor="middle" '
-            f'fill="#333333">{_fmt(t)}</text>'
+            f'fill="#333333">{t:.6g}</text>'
         )
     for t in yticks:
         gy = _px(sy(t))
@@ -181,7 +174,7 @@ def line_chart(
         )
         out.append(
             f'<text x="{_px(px0 - 6)}" y="{gy}" text-anchor="end" '
-            f'dominant-baseline="middle" fill="#333333">{_fmt(t)}</text>'
+            f'dominant-baseline="middle" fill="#333333">{t:.6g}</text>'
         )
 
     # Axes frame.
@@ -193,16 +186,16 @@ def line_chart(
     if title:
         out.append(
             f'<text x="{_px((px0 + px1) / 2)}" y="18" text-anchor="middle" '
-            f'font-size="13" fill="#111111">{_escape(title)}</text>'
+            f'font-size="13" fill="#111111">{escape(title, quote=False)}</text>'
         )
     if x_label:
-        lbl = _escape(x_label) + (" (log)" if x_log else "")
+        lbl = escape(x_label, quote=False) + (" (log)" if x_log else "")
         out.append(
             f'<text x="{_px((px0 + px1) / 2)}" y="{_px(height - 10)}" '
             f'text-anchor="middle" fill="#111111">{lbl}</text>'
         )
     if y_label:
-        lbl = _escape(y_label) + (" [dB]" if y_db else "")
+        lbl = escape(y_label, quote=False) + (" [dB]" if y_db else "")
         cy = (py0 + py1) / 2
         out.append(
             f'<text x="14" y="{_px(cy)}" text-anchor="middle" '
@@ -253,14 +246,8 @@ def line_chart(
             out.append(
                 f'<text x="{_px(lx + 28)}" y="{_px(yy)}" '
                 f'dominant-baseline="middle" fill="#111111">'
-                f"{_escape(s.label)}</text>"
+                f"{escape(s.label, quote=False)}</text>"
             )
 
     out.append("</svg>")
     return "\n".join(out) + "\n"
-
-
-def _escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )

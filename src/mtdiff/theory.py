@@ -40,14 +40,15 @@ which raises SingularSystem when the stack is numerically singular.
 theory_report is the one entry point for a (mu, eta) point: it checks
 stability, solves W0_eta and computes the bias once, and its report carries
 all three; optimize_eta, bias_surface and the engine build on it.  The one
-input check, check_inputs (matching sizes, finite mu > 0, finite eta >= 0),
-runs first in check_stability, solve_regularized, msd_noncoop and the
-engine's SimConfig, and hands the first three mu and eta as Python floats.
+real-number rule, check_real, admits a finite mu > 0 and a finite eta >= 0
+(Python or numpy reals, handed back as Python floats) and nothing else; each
+entry point and the engine's SimConfig check only the scalars they take.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -95,19 +96,17 @@ class StabilityVerdict:
         ]
 
 
-def check_inputs(
-    ensemble: TaskEnsemble | None, g: Graph | None, mu: float | None, eta: float
-) -> tuple[float | None, float]:
-    """DimensionMismatch unless the ensemble's targets fit g, InvalidArgument unless
-    mu is finite and > 0 and eta finite and >= 0; a None argument is not checked.
-    Returns mu and eta as Python floats, whose products overflow to inf silently."""
-    if ensemble is not None:
-        _check_signal(ensemble.targets, g)
-    if mu is not None and not (math.isfinite(mu) and mu > 0.0):
-        raise InvalidArgument(f"mu must be finite and positive, got {mu!r}")
-    if not (math.isfinite(eta) and eta >= 0.0):
-        raise InvalidArgument(f"eta must be finite and nonnegative, got {eta!r}")
-    return (None if mu is None else float(mu)), float(eta)
+def check_real(name: str, value: object, *, positive: bool) -> float:
+    """value as a Python float; InvalidArgument unless it is a finite real
+    number (Python or numpy), > 0 if positive and >= 0 otherwise."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int too large for a float
+        x = math.inf
+    if not (math.isfinite(x) and (x > 0.0 if positive else x >= 0.0)):
+        sign = "positive" if positive else "nonnegative"
+        raise InvalidArgument(f"{name} must be finite and {sign}, got {value!r}")
+    return x
 
 
 def check_stability(
@@ -118,9 +117,12 @@ def check_stability(
     The combine step must contract on the graph (mu*eta against both the
     Laplacian spectral radius and the heaviest weighted neighborhood), and the
     adapt step must contract against the stiffest local curvature.  Returns a
-    verdict with each condition's margin; raises only check_inputs' errors.
+    verdict with each condition's margin; raises only DimensionMismatch (the
+    targets do not fit g) and check_real's InvalidArgument for mu and eta.
     """
-    mu, eta = check_inputs(ensemble, g, mu, eta)
+    _check_signal(ensemble.targets, g)
+    mu = check_real("mu", mu, positive=True)
+    eta = check_real("eta", eta, positive=False)
     lam_max = g.lambda_max
     max_deg = g.max_degree
     curv = float(ensemble.regressor_eigvals.max())
@@ -212,7 +214,8 @@ def solve_regularized(ensemble: TaskEnsemble, g: Graph, eta: float) -> Regulariz
     eta = 0 returns the per-node targets, and a growing eta pulls every block
     toward the consensus solution; SingularSystem when eta * lambda_max(L) overflows.
     """
-    eta = check_inputs(ensemble, g, None, eta)[1]
+    _check_signal(ensemble.targets, g)
+    eta = check_real("eta", eta, positive=False)
     if not math.isfinite(eta * g.lambda_max):
         raise SingularSystem(f"eta * lambda_max(L) overflows at eta={eta!r}")
     n, m = ensemble.n_agents, ensemble.dim
@@ -349,7 +352,7 @@ def msd_noncoop(ensemble: TaskEnsemble, mu: float) -> float:
     target, which for the built-in quadratic model (R_{s,k} = sigma_v,k^2 H_k)
     is mu * M * sigma_v,k^2 / 2; the network value is their mean.
     """
-    mu = check_inputs(None, None, mu, 0.0)[0]
+    mu = check_real("mu", mu, positive=True)
     return mu * ensemble.dim * float(ensemble.noise_var.mean()) / 2.0
 
 
@@ -361,6 +364,7 @@ def theory_report(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> Th
     report reads that one solution.
     """
     _require_stable(ensemble, g, mu, eta)
+    mu = float(mu)  # the admitted value, so a numpy scalar computes as a Python float
     reg = solve_regularized(ensemble, g, eta)
     terms = _per_frequency_terms(ensemble, g, mu, reg)
     msd_total = float(terms.sum())
@@ -369,8 +373,8 @@ def theory_report(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> Th
     mismatch = ensemble.targets.values - reg.solution.values
     cross = 2.0 / n * float(mismatch @ bias)
     return TheoryReport(
-        mu=float(mu),
-        eta=float(eta),
+        mu=mu,
+        eta=reg.eta,
         msd_total=msd_total,
         msd_per_frequency=terms,
         msd_noncoop=msd_noncoop(ensemble, mu),
@@ -399,13 +403,13 @@ def optimize_eta(
     """Pick the grid point minimizing the deviation against the targets.
 
     Plain grid search (the curve need not be unimodal); ties resolve to the
-    smallest eta.  The grid must be ascending, nonempty, and contain 0 so the
-    non-cooperative corner is always a candidate.
+    smallest eta.  The grid must be a nonempty, strictly ascending sequence of
+    etas that contains 0, so the non-cooperative corner is always a candidate.
     """
-    grid = np.asarray(grid, dtype=float).reshape(-1)
+    grid = np.array([check_real("eta", eta, positive=False) for eta in grid])
     if grid.size == 0:
         raise InvalidArgument("eta grid must be nonempty")
-    if np.any(grid[1:] <= grid[:-1]):  # no inf - inf warning, unlike np.diff
+    if np.any(grid[1:] <= grid[:-1]):
         raise InvalidArgument("eta grid must be strictly ascending")
     if grid[0] != 0.0:
         raise InvalidArgument("eta grid must include 0")
@@ -434,5 +438,5 @@ def bias_surface(
     surface = np.empty((len(etas), len(mus)))
     for i, eta in enumerate(etas):
         reg = solve_regularized(ensemble, g, eta)
-        surface[i] = [b @ b for b in (_long_term_bias(ensemble, g, mu, reg) for mu in mus)]
+        surface[i] = [b @ b for b in (_long_term_bias(ensemble, g, float(mu), reg) for mu in mus)]
     return surface

@@ -52,13 +52,16 @@ def line_graph() -> mt.Graph:
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    """The library's source line count, the three slowest tests' call
-    durations, then one pass/fail line per acceptance criterion, at the end
-    of the run."""
-    sources = sorted(SRC_DIR.glob("*.py"))
-    lines = sum(path.read_bytes().count(b"\n") for path in sources)
+    """The library's source line count, in total and per module, the three
+    slowest tests' call durations, then one pass/fail line per acceptance
+    criterion, at the end of the run."""
+    lines = {path.name: path.read_bytes().count(b"\n") for path in sorted(SRC_DIR.glob("*.py"))}
     terminalreporter.section("source size")
-    terminalreporter.write_line(f"src/mtdiff: {lines} lines in {len(sources)} .py files")
+    terminalreporter.write_line(
+        f"src/mtdiff: {sum(lines.values())} lines in {len(lines)} .py files"
+    )
+    for name, count in lines.items():
+        terminalreporter.write_line(f"{count:6d}  {name}")
     calls = [
         report
         for reports in terminalreporter.stats.values()

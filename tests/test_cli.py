@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import mtdiff as mt
 from mtdiff import config
-from mtdiff.cli import main
+from mtdiff.cli import _slug, main
 from mtdiff.config import build_ensemble, build_graph, load_config
 
 from test_theory import _entry_points
@@ -117,19 +117,41 @@ class TestTheoryCommand:
         assert not (out / "theory.svg").exists()
         assert (out / "theory_freq_eta2.csv").exists()
 
-    def test_colliding_file_names_exit_2(self, tmp_path, capsys):
-        """Distinct etas that print alike would write one per-frequency file."""
+    def test_close_etas_write_separate_files(self, tmp_path):
+        """Etas that agree to 6 digits each write their own per-frequency file,
+        which sums to its own eta's msd_total."""
         cfg = _write_config(tmp_path, {"algo.eta": "0, 1.0000001, 1.0000002"})
         out = tmp_path / "res"
-        assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:")
-        assert "1.0000001" in err and "1.0000002" in err
-        assert not out.exists()
+        assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 0
+        tags = {0.0: "0", 1.0000001: "1p0000001", 1.0000002: "1p0000002"}
+        assert sorted(p.name for p in out.glob("theory_freq_eta*.csv")) == sorted(
+            f"theory_freq_eta{tag}.csv" for tag in tags.values()
+        )
+        _, _, rows = _read_csv(out / "theory.csv")
+        totals = {float(row[0]): float(row[2]) for row in rows}
+        assert totals[1.0000001] != pytest.approx(totals[1.0000002], rel=1e-12, abs=0.0)
+        for eta, tag in tags.items():
+            _, _, freq = _read_csv(out / f"theory_freq_eta{tag}.csv")
+            terms = sum(float(row[2]) for row in freq)
+            assert terms == pytest.approx(totals[eta], rel=1e-12, abs=0.0)
 
     def test_multiple_mu_rejected(self, tmp_path):
         cfg = _write_config(tmp_path, {"algo.mu": "0.01, 0.001"})
         assert main(["theory", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+
+
+class TestEtaFileTag:
+    @given(st.floats(allow_nan=False))
+    @example(x=1.0000001)  # agrees with its neighbours to 6 digits
+    def test_neighbours_get_other_tags(self, x):
+        for y in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf)):
+            if y != x:
+                assert _slug(y) != _slug(x)
+
+    def test_round_etas_read_unchanged(self):
+        assert [_slug(x) for x in (0.0, 1.0, 2.0, 5.0, 10.0, 20.0)] == [
+            "0", "1", "2", "5", "10", "20"
+        ]
 
 
 class TestSimulateCommand:

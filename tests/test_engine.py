@@ -274,10 +274,13 @@ class TestConfigAndStability:
             dict(mu=1e-3, eta=0.0, n_runs=2.5),
             dict(mu=1e-3, eta=0.0, n_iters=10.5),
             dict(mu=1e-3, eta=0.0, seed=1.5),
+            dict(mu=1e-3, eta=0.0, init=np.array(["a"])),
+            dict(mu=1e-3, eta=0.0, init=[1.0, None]),
+            dict(mu=1e-3, eta=0.0, steady_window_frac="0.1"),
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(mt.InvalidArgument):
             mt.SimConfig(**kwargs)
 
     def test_init_size_checked(self, het_ensemble, bench_graph):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -259,35 +260,62 @@ def _entry_points(ens, g, mu, eta):
     return {
         "check_stability": lambda: mt.check_stability(ens, g, mu, eta),
         "theory_report": lambda: mt.theory_report(ens, g, mu, eta),
-        "optimize_eta": lambda: mt.optimize_eta(ens, g, mu, [0.0, float(eta), 2.0 * float(eta)]),
+        "optimize_eta": lambda: mt.optimize_eta(ens, g, mu, [0.0, eta]),
         "bias_surface": lambda: mt.bias_surface(ens, g, [mu], [eta]),
         "msd_noncoop": lambda: mt.msd_noncoop(ens, mu),
         "solve_regularized": lambda: mt.solve_regularized(ens, g, eta),
         "monte_carlo": lambda: mt.monte_carlo(
             ens, g, mt.SimConfig(mu=mu, eta=eta, n_iters=10)
         ),
+        "SimConfig": lambda: mt.SimConfig(mu=mu, eta=eta),
     }
 
 
 POINT_ENTRIES = ["check_stability", "theory_report", "optimize_eta", "bias_surface"]
 
+# values that are not a finite real number at all, each given as mu and as eta
+NON_REALS = [
+    pytest.param(None, id="None"),
+    pytest.param("1e-3", id="str"),
+    pytest.param(1e-3 + 0j, id="complex"),
+    pytest.param(10**400, id="huge-int"),
+    pytest.param(np.array([1.0]), id="array"),
+]
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+
+@pytest.mark.filterwarnings("error")
 class TestOneInputCheck:
-    """theory.check_inputs owns the operating point's input rules: each entry
-    point raises its typed error, not a verdict, a number or a numpy error."""
+    """theory.check_real is the one rule for a real scalar: each entry point
+    raises InvalidArgument for a mu or eta that is not a finite real number in
+    range (None included), not a verdict, a number, a numpy error or a warning;
+    a size mismatch raises DimensionMismatch."""
 
-    @pytest.mark.parametrize("entry", POINT_ENTRIES + ["msd_noncoop"])
-    @pytest.mark.parametrize("mu", [0.0, -1e-3, math.nan, math.inf])
+    @pytest.mark.parametrize("entry", POINT_ENTRIES + ["msd_noncoop", "SimConfig"])
+    @pytest.mark.parametrize("mu", [0.0, -1e-3, math.nan, math.inf, *NON_REALS])
     def test_bad_mu(self, het_ensemble, bench_graph, entry, mu):
         with pytest.raises(mt.InvalidArgument):
             _entry_points(het_ensemble, bench_graph, mu, 1.0)[entry]()
 
-    @pytest.mark.parametrize("entry", POINT_ENTRIES + ["solve_regularized"])
-    @pytest.mark.parametrize("eta", [-0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("entry", POINT_ENTRIES + ["solve_regularized", "SimConfig"])
+    @pytest.mark.parametrize("eta", [-0.5, math.nan, math.inf, *NON_REALS])
     def test_bad_eta(self, het_ensemble, bench_graph, entry, eta):
         with pytest.raises(mt.InvalidArgument):
             _entry_points(het_ensemble, bench_graph, 1e-3, eta)[entry]()
+
+    @pytest.mark.parametrize(
+        "real", [np.float32, np.longdouble, Fraction], ids=["float32", "longdouble", "Fraction"]
+    )
+    def test_admitted_reals_compute_as_python_floats(self, het_ensemble, bench_graph, real):
+        """A mu and eta of any real type give the results of their Python floats."""
+        ens, g = het_ensemble, bench_graph
+        mu, eta = real(1) / real(1000), real(7) / real(10)
+        args = [(mu, eta), (float(mu), float(eta))]
+        a, b = (mt.theory_report(ens, g, m, e) for m, e in args)
+        assert (a.mu, a.eta, a.msd_bar, a.bias_sq_norm) == (b.mu, b.eta, b.msd_bar, b.bias_sq_norm)
+        surfaces = [mt.bias_surface(ens, g, [m], [e]) for m, e in args]
+        assert np.array_equal(*surfaces)
+        sims = [mt.monte_carlo(ens, g, mt.SimConfig(mu=m, eta=e, n_iters=50)) for m, e in args]
+        assert np.array_equal(sims[0].curve_vs_target, sims[1].curve_vs_target)
 
     @pytest.mark.parametrize("entry", POINT_ENTRIES + ["solve_regularized", "monte_carlo"])
     def test_size_mismatch_before_any_block(
