@@ -70,7 +70,7 @@ MODULE_VERSIONS = {
     "graphs": 2,
     "tasks": 2,
     "engine": 2,
-    "theory": 5,
+    "theory": 6,
 }
 
 __all__ = [

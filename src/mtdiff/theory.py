@@ -16,33 +16,33 @@ term), a grid optimizer for the penalty strength and the bias surface over a
 (mu, eta) grid.
 
 The per-node and per-frequency terms are batched over all nodes and
-frequencies for every covariance profile: one stacked formula gives the
-gradient-noise covariances, and each predictor is one stacked solve plus a
-trace.  The smoothness penalty acts on each of the M components alike, so
-only the covariances R_uk couple one component to another.  The ensemble
-groups them once (TaskEnsemble.coupled_cov) into G groups of s coupled
-components, with r = M/(Gs) copies of each group sharing its covariances.
-W0_eta and the bias are written once, in component-major order, over those
-groups and solved as one (G, sN, sN) stack with r right-hand sides each, and
-the curvature at each frequency is block-diagonal over the same groups, so
-its trace needs only the matching (s, s) diagonal blocks of the noise,
-summed over the r copies: N * G solves of size s.
-Isotropic R_uk = sigma_k^2 I (every bundled config) give the M components
-one shared N x N system, factored once for M right-hand sides, and N scalar
-per-frequency solves; other diagonal R_uk give M N x N systems and N * M
-scalar solves, and any other covariance one group of all M components: one
-(NM) x (NM) system and N dense M x M per-frequency solves.  The W0_eta stack
-is certified well conditioned from the curvature spectrum and the Laplacian's
-largest eigenvalue, without a factorization, before its one LU solve; a stack
-the bound cannot certify is solved through a symmetric eigendecomposition,
-which raises SingularSystem when the stack is numerically singular.
+frequencies for every covariance profile.  The smoothness penalty acts on each
+of the M components alike, so only the covariances R_uk couple one component
+to another.  The ensemble groups them once (TaskEnsemble.coupled_cov) into G
+groups of s coupled components, with r = M/(Gs) copies of each group sharing
+its covariances.  W0_eta and the bias are solved as one (G, sN, sN) stack with
+r right-hand sides each, and the curvature at each frequency is
+block-diagonal over the same groups, so its trace needs only the matching
+(s, s) blocks of the noise, summed over the r copies: N * G solves of size s.
+Isotropic R_uk = sigma_k^2 I (every bundled config) give one shared N x N
+system for M right-hand sides, other diagonal R_uk M N x N systems, and any
+other covariance one (NM) x (NM) system.  The W0_eta stack is certified well
+conditioned from the curvature spectrum and lambda_max(L), without a
+factorization, before its one LU solve; a stack the bound cannot certify is
+solved through a symmetric eigendecomposition, which raises SingularSystem
+when it is numerically singular.
 
 theory_report is the one entry point for a (mu, eta) point: it checks
 stability, solves W0_eta and computes the bias once, and its report carries
-all three; optimize_eta, bias_surface and the engine build on it.  The one
-real-number rule, check_real, admits a finite mu > 0 and a finite eta >= 0
-(Python or numpy reals, handed back as Python floats) and nothing else; each
-entry point and the engine's SimConfig check only the scalars they take.
+all three; bias_surface and the engine build on it.  optimize_eta calls it at
+each eta, except on its grid route: with diagonal covariances, mu * max h < 1
+and at least GRID_ROUTE_ETAS positive etas, it checks every point, then
+eigendecomposes the two symmetric-definite pencils of each group once, so each
+eta costs a few matrix products in place of two LU solves, and computes the
+report terms of the whole grid in one batched pass.  The one real-number
+rule, check_real, admits a finite mu > 0 and a finite eta >= 0 (Python or
+numpy reals but not bools, handed back as Python floats) and nothing else;
+each entry point and the engine's SimConfig check only the scalars they take.
 """
 
 from __future__ import annotations
@@ -99,8 +99,9 @@ class StabilityVerdict:
 def check_real(name: str, value: object, *, positive: bool) -> float:
     """value as a Python float; InvalidArgument unless it is a finite real
     number (Python or numpy), > 0 if positive and >= 0 otherwise."""
-    try:
-        x = float(value) if isinstance(value, numbers.Real) else math.nan
+    try:  # a bool is a numbers.Real, but True is no step size
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        x = float(value) if real else math.nan
     except OverflowError:  # an int too large for a float
         x = math.inf
     if not (math.isfinite(x) and (x > 0.0 if positive else x >= 0.0)):
@@ -208,6 +209,12 @@ def _lu_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+def _regularized(ensemble: TaskEnsemble, eta: float, blocks: np.ndarray) -> RegularizedSolution:
+    sol = StackedSignal.from_blocks(blocks)
+    mismatch = sol.values - ensemble.targets.values
+    return RegularizedSolution(eta=eta, solution=sol, mismatch_sq=float(mismatch @ mismatch))
+
+
 def solve_regularized(ensemble: TaskEnsemble, g: Graph, eta: float) -> RegularizedSolution:
     """Minimize the regularized network cost at penalty strength eta >= 0.
 
@@ -219,29 +226,24 @@ def solve_regularized(ensemble: TaskEnsemble, g: Graph, eta: float) -> Regulariz
     if not math.isfinite(eta * g.lambda_max):
         raise SingularSystem(f"eta * lambda_max(L) overflows at eta={eta!r}")
     n, m = ensemble.n_agents, ensemble.dim
-    targets = ensemble.targets.values
     if eta == 0.0:
-        sol = StackedSignal(n, m, targets)
-    else:  # group g: (I_s kron eta L + H_g) w_g = H_g w0_g
-        cov = ensemble.coupled_cov
-        groups, s = cov.shape[:2]
-        mats = np.zeros((groups, s, n, s, n))
-        # einsum with a repeated index returns a writable view of that diagonal
-        np.einsum("gkakb->gkab", mats)[...] = eta * g.laplacian
-        np.einsum("gkala->gkla", mats)[...] += cov
-        w0 = ensemble.targets.blocks.reshape(n, groups, s, -1)  # [a, g, l, c]
-        rhs = np.einsum("gkla,aglc->gkac", cov, w0).reshape(groups, s * n, -1)
-        curv = ensemble.regressor_eigvals
-        r_min, r_max = float(curv.min()), float(curv.max())
-        # Weyl: L is PSD and the spectrum of H_g lies in [r_min, r_max]
-        kappa = (eta * g.lambda_max + r_max) / r_min if r_min > 0.0 else math.inf
-        w = _spd_solve(mats.reshape(groups, s * n, s * n), rhs, kappa)
-        w = w.reshape(groups, s, n, -1)
-        sol = StackedSignal.from_blocks(w.transpose(2, 0, 1, 3).reshape(n, m))
-    mismatch = sol.values - targets
-    return RegularizedSolution(
-        eta=float(eta), solution=sol, mismatch_sq=float(mismatch @ mismatch)
-    )
+        return _regularized(ensemble, eta, ensemble.targets.blocks)
+    # group g: (I_s kron eta L + H_g) w_g = H_g w0_g
+    cov = ensemble.coupled_cov
+    groups, s = cov.shape[:2]
+    mats = np.zeros((groups, s, n, s, n))
+    # einsum with a repeated index returns a writable view of that diagonal
+    np.einsum("gkakb->gkab", mats)[...] = eta * g.laplacian
+    np.einsum("gkala->gkla", mats)[...] += cov
+    w0 = ensemble.targets.blocks.reshape(n, groups, s, -1)  # [a, g, l, c]
+    rhs = np.einsum("gkla,aglc->gkac", cov, w0).reshape(groups, s * n, -1)
+    curv = ensemble.regressor_eigvals
+    r_min, r_max = float(curv.min()), float(curv.max())
+    # Weyl: L is PSD and the spectrum of H_g lies in [r_min, r_max]
+    kappa = (eta * g.lambda_max + r_max) / r_min if r_min > 0.0 else math.inf
+    w = _spd_solve(mats.reshape(groups, s * n, s * n), rhs, kappa)
+    w = w.reshape(groups, s, n, -1)
+    return _regularized(ensemble, eta, w.transpose(2, 0, 1, 3).reshape(n, m))
 
 
 def _long_term_bias(
@@ -300,10 +302,11 @@ class TheoryReport:
     bias_sq_norm: float
 
 
-def _noise_blocks(ensemble: TaskEnsemble, reg: RegularizedSolution) -> np.ndarray:
-    """Limiting gradient-noise covariance of every node as (N, G, s, s) blocks:
-    each coupled group's (s, s) diagonal block, summed over its r copies (for
-    full covariances [k, 0] is node k's whole M x M covariance).
+def _noise_blocks(ensemble: TaskEnsemble, solutions: np.ndarray) -> np.ndarray:
+    """Limiting gradient-noise covariance of every node as (..., N, G, s, s)
+    blocks, from W0_eta as (..., N, M) blocks: each coupled group's (s, s)
+    diagonal block, summed over its r copies (for full covariances [k, 0] is
+    node k's whole M x M covariance).
 
     For Gaussian regressors node k's covariance is R W R + R * Tr(R W) +
     sigma_v^2 R, where W = d d' for the node's regularized-vs-own-target
@@ -312,37 +315,39 @@ def _noise_blocks(ensemble: TaskEnsemble, reg: RegularizedSolution) -> np.ndarra
     when a covariance overflows.
     """
     cov = ensemble.coupled_cov
-    n, groups, s = ensemble.n_agents, cov.shape[0], cov.shape[1]
+    groups, s = cov.shape[:2]
     r = ensemble.dim // (groups * s)
-    delta = ensemble.targets.blocks - reg.solution.blocks
+    delta = ensemble.targets.blocks - solutions
     with np.errstate(over="ignore"):  # an overflow is reported below
-        r_delta = np.einsum("kij,kj->ki", ensemble.regressor_cov, delta)
-        scale = np.einsum("ki,ki->k", delta, r_delta) + ensemble.noise_var
-        r_delta = r_delta.reshape(n, groups, s, r)
-        outer = np.einsum("agkc,aglc->agkl", r_delta, r_delta)
-        blocks = outer + (r * scale)[:, None, None, None] * cov.transpose(3, 0, 1, 2)
+        r_delta = np.einsum("kij,...kj->...ki", ensemble.regressor_cov, delta)
+        scale = np.einsum("...ki,...ki->...k", delta, r_delta) + ensemble.noise_var
+        r_delta = r_delta.reshape(*delta.shape[:-1], groups, s, r)
+        outer = np.einsum("...agkc,...aglc->...agkl", r_delta, r_delta)
+        blocks = outer + (r * scale)[..., None, None, None] * cov.transpose(3, 0, 1, 2)
     if not np.all(np.isfinite(blocks)):
         raise SingularSystem("the gradient-noise covariance overflows")
     return blocks
 
 
 def _per_frequency_terms(
-    ensemble: TaskEnsemble, g: Graph, mu: float, reg: RegularizedSolution
+    ensemble: TaskEnsemble, g: Graph, mu: float, etas: np.ndarray, solutions: np.ndarray
 ) -> np.ndarray:
-    """Summands of the steady-state predictor, one per graph frequency m:
-    mu/(2N) * Tr(C_m^{-1} N_m), C_m = sum_k v_m(k)^2 R_k + eta lambda_m I and
-    N_m the same mixture of the noise covariances, both mixed in one product.
-    C_m is block-diagonal over the coupled groups and the trace is linear in
-    N_m, so each group needs its copy-summed noise block alone: N * G solves.
+    """Summands of the steady-state predictor, one per eta of etas (E,) and
+    graph frequency m, from W0_eta as (E, N, M) blocks: mu/(2N) * Tr(C_m^{-1}
+    N_m), C_m = sum_k v_m(k)^2 R_k + eta lambda_m I and N_m the same mixture of
+    the noise covariances, all mixed in one product.  C_m is block-diagonal
+    over the coupled groups and the trace is linear in N_m, so each group
+    needs its copy-summed noise block alone: E * N * G solves.
     """
     cov = ensemble.coupled_cov
     n, groups, s = ensemble.n_agents, cov.shape[0], cov.shape[1]
-    stack = np.concatenate((_noise_blocks(ensemble, reg), cov.transpose(3, 0, 1, 2)), axis=1)
+    noise = _noise_blocks(ensemble, solutions).transpose(1, 0, 2, 3, 4)
+    stack = np.concatenate((noise.reshape(n, -1, s, s), cov.transpose(3, 0, 1, 2)), axis=1)
     mixed = ((g.eigenvectors**2).T @ stack.reshape(n, -1)).reshape(stack.shape)
-    noise, curvature = mixed[:, :groups], mixed[:, groups:]
-    curvature += reg.eta * g.eigenvalues[:, None, None, None] * np.eye(s)
-    solved = _lu_solve(curvature, noise)
-    return mu / (2.0 * n) * np.trace(solved, axis1=2, axis2=3).sum(axis=1)
+    noise = mixed[:, :-groups].reshape(noise.shape).transpose(1, 0, 2, 3, 4)
+    stiff = etas[:, None, None, None, None] * g.eigenvalues[:, None, None, None] * np.eye(s)
+    solved = _lu_solve(mixed[:, -groups:] + stiff, noise)
+    return mu / (2.0 * n) * np.trace(solved, axis1=3, axis2=4).sum(axis=2)
 
 
 def msd_noncoop(ensemble: TaskEnsemble, mu: float) -> float:
@@ -356,6 +361,26 @@ def msd_noncoop(ensemble: TaskEnsemble, mu: float) -> float:
     return mu * ensemble.dim * float(ensemble.noise_var.mean()) / 2.0
 
 
+def _reports(
+    ensemble: TaskEnsemble, g: Graph, mu: float, regs: list, biases: np.ndarray
+) -> list[TheoryReport]:
+    """The reports at admissible points (mu, reg.eta), given each W0_eta and
+    its bias (one row of biases each), with one batched per-frequency pass."""
+    etas = np.array([reg.eta for reg in regs])
+    terms = _per_frequency_terms(ensemble, g, mu, etas, np.array([r.solution.blocks for r in regs]))
+    n, noncoop, reports = ensemble.n_agents, msd_noncoop(ensemble, mu), []
+    for reg, bias, msd in zip(regs, biases, terms):
+        total = float(msd.sum())
+        cross = 2.0 / n * float((ensemble.targets.values - reg.solution.values) @ bias)
+        reports.append(TheoryReport(
+            mu=mu, eta=reg.eta, msd_total=total, msd_per_frequency=msd, msd_noncoop=noncoop,
+            msd_bar=total + reg.mismatch_sq / n + cross, mismatch_sq=reg.mismatch_sq,
+            bias_cross_term=cross, solution=reg.solution, bias_vector=bias,
+            bias_sq_norm=float(bias @ bias),
+        ))
+    return reports
+
+
 def theory_report(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> TheoryReport:
     """Steady-state predictions at one (mu, eta) point.
 
@@ -366,25 +391,54 @@ def theory_report(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> Th
     _require_stable(ensemble, g, mu, eta)
     mu = float(mu)  # the admitted value, so a numpy scalar computes as a Python float
     reg = solve_regularized(ensemble, g, eta)
-    terms = _per_frequency_terms(ensemble, g, mu, reg)
-    msd_total = float(terms.sum())
-    bias = _long_term_bias(ensemble, g, mu, reg)
-    n = ensemble.n_agents
-    mismatch = ensemble.targets.values - reg.solution.values
-    cross = 2.0 / n * float(mismatch @ bias)
-    return TheoryReport(
-        mu=mu,
-        eta=reg.eta,
-        msd_total=msd_total,
-        msd_per_frequency=terms,
-        msd_noncoop=msd_noncoop(ensemble, mu),
-        msd_bar=msd_total + reg.mismatch_sq / n + cross,
-        mismatch_sq=reg.mismatch_sq,
-        bias_cross_term=cross,
-        solution=reg.solution,
-        bias_vector=bias,
-        bias_sq_norm=float(bias @ bias),
-    )
+    return _reports(ensemble, g, mu, [reg], _long_term_bias(ensemble, g, mu, reg)[None])[0]
+
+
+#: positive etas from which optimize_eta takes the grid route: one eigh of an
+#: N x N pencil costs about as much as 8 LU solves of the same size (measured
+#: eigh/LU ratios 8.1 at N=50 and N=150, 7.6 at N=400, 8.4 at N=1000, with
+#: one BLAS thread), and each eta of the per-point route pays one of each pair
+GRID_ROUTE_ETAS = 8
+
+
+def _pencil_solve(lap: np.ndarray, d: np.ndarray, etas: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """(eta L + diag(d))^-1 rhs at every eta of etas, for a positive d, from one
+    eigh of D^-1/2 L D^-1/2 = Q diag(theta) Q'.  rhs is (N, E, k), or (N, 1, k)
+    when it is the same at every eta; the result is (N, E, k)."""
+    n, root = len(d), np.sqrt(d)[:, None, None]
+    try:
+        theta, q = np.linalg.eigh(lap / root[:, :, 0] / root[:, 0, 0])
+    except np.linalg.LinAlgError:  # the pencil overflows
+        raise SingularSystem("a pencil D^-1/2 L D^-1/2 cannot be decomposed") from None
+    coef = (q.T @ (rhs / root).reshape(n, -1)).reshape(rhs.shape)
+    # L is PSD, so theta >= 0 up to rounding and every eta * theta + 1 >= 1
+    coef = coef / (np.maximum(theta, 0.0)[:, None, None] * etas[:, None] + 1.0)
+    return (q @ coef.reshape(n, -1)).reshape(coef.shape) / root
+
+
+def _grid_reports(ensemble: TaskEnsemble, g: Graph, mu: float, grid: np.ndarray) -> list:
+    """theory_report at every eta of an admissible grid with grid[0] = 0, for
+    diagonal covariances H_g = diag(h) with mu * max h < 1.  Per group, the
+    pencil (L, H_g) gives W0_eta at every positive eta, and (L, H'_g), H'_g =
+    H_g (I - mu H_g)^-1, the bias: _long_term_bias's system is mu (eta L +
+    H'_g)(I - mu H_g) x = rhs.  SingularSystem when a result is not finite."""
+    n, m, lap, etas = ensemble.n_agents, ensemble.dim, g.laplacian, grid[1:]
+    diags = ensemble.coupled_cov[:, 0, 0]  # (G, N)
+    w0 = ensemble.targets.blocks.reshape(n, 1, len(diags), -1)  # [a, eta, g, c]
+    sol, bias = np.empty((2, n, len(etas), *w0.shape[2:]))
+    for j, h in enumerate(diags):
+        with np.errstate(all="ignore"):  # a non-finite result is reported below
+            sol[:, :, j] = _pencil_solve(lap, h, etas, h[:, None, None] * w0[:, :, j])
+            rhs = (lap @ (lap @ sol[:, :, j].reshape(n, -1))).reshape(n, len(etas), -1)
+            rhs *= ((mu * etas) ** 2)[:, None]
+            step = (1.0 - mu * h)[:, None, None]
+            bias[:, :, j] = _pencil_solve(lap, h / step[:, 0, 0], etas, rhs) / (mu * step)
+    if not (np.all(np.isfinite(sol)) and np.all(np.isfinite(bias))):
+        raise SingularSystem("a grid solution or bias is not finite")
+    regs = [_regularized(ensemble, 0.0, ensemble.targets.blocks)]
+    regs += [_regularized(ensemble, float(e), sol[:, i].reshape(n, m)) for i, e in enumerate(etas)]
+    biases = np.concatenate((np.zeros((1, n * m)), bias.transpose(1, 0, 2, 3).reshape(-1, n * m)))
+    return _reports(ensemble, g, mu, regs, biases)
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,6 +459,9 @@ def optimize_eta(
     Plain grid search (the curve need not be unimodal); ties resolve to the
     smallest eta.  The grid must be a nonempty, strictly ascending sequence of
     etas that contains 0, so the non-cooperative corner is always a candidate.
+    Each report is theory_report's at its point, or on the grid route (diagonal
+    covariances, mu * max h < 1, at least GRID_ROUTE_ETAS positive etas) the
+    same values to rounding, from one eigendecomposition per group and pencil.
     """
     grid = np.array([check_real("eta", eta, positive=False) for eta in grid])
     if grid.size == 0:
@@ -413,12 +470,19 @@ def optimize_eta(
         raise InvalidArgument("eta grid must be strictly ascending")
     if grid[0] != 0.0:
         raise InvalidArgument("eta grid must include 0")
-    reports = tuple(theory_report(ensemble, g, mu, float(eta)) for eta in grid)
+    if (
+        ensemble.coupled_cov.shape[1] == 1  # diagonal covariances
+        and np.count_nonzero(grid) >= GRID_ROUTE_ETAS
+        and check_real("mu", mu, positive=True) * ensemble.regressor_eigvals.max() < 1.0
+    ):
+        for eta in grid:
+            _require_stable(ensemble, g, mu, eta)
+        reports = tuple(_grid_reports(ensemble, g, float(mu), grid))
+    else:
+        reports = tuple(theory_report(ensemble, g, mu, float(eta)) for eta in grid)
     values = np.array([r.msd_bar for r in reports])
     best = int(np.argmin(values))  # first minimum = smallest eta on ties
-    return EtaSweep(
-        eta_star=float(grid[best]), etas=grid, msd_bar_curve=values, reports=reports
-    )
+    return EtaSweep(eta_star=float(grid[best]), etas=grid, msd_bar_curve=values, reports=reports)
 
 
 def bias_surface(

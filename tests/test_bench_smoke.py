@@ -12,8 +12,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
+import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 from spans import Tracer  # noqa: E402
+
+from mtdiff.theory import GRID_ROUTE_ETAS  # noqa: E402
 
 
 def test_mc_family_is_bitwise_identical_across_jobs(tmp_path):
@@ -33,6 +36,21 @@ def test_theory_family_passes_its_output_checks(tmp_path):
     workloads._run_theory(inp, Tracer(), tally)
     # one operation per report and one for the sweep, then the two checks
     assert (tally.attempted, tally.failed) == (inp.grid.size + 3, 0)
+
+
+def test_full_theory_grid_takes_the_grid_route(tmp_path, monkeypatch):
+    """theory150's full grid: 16 reports, then optimize_eta on the grid route,
+    whose two eigendecompositions (one per pencil of the isotropic profile's
+    one group) are the only eigh calls of the family."""
+    inp = workloads.setup("theory150", seed=5, work=tmp_path, nproc=1)
+    assert inp.grid.size == workloads.THEORY_POINTS[True] > GRID_ROUTE_ETAS
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(a.shape) or eigh(a))
+    tally = workloads.Tally()
+    workloads._run_theory(inp, Tracer(), tally)
+    assert (tally.attempted, tally.failed) == (inp.grid.size + 3, 0)
+    assert eighs == [(150, 150)] * 2
 
 
 def test_cli_family_exits_0_and_reruns_byte_identical(tmp_path):

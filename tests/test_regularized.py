@@ -168,9 +168,9 @@ class TestStructuredCovariances:
         sides for isotropic covariances, M N x N systems for other diagonal
         ones and a single (NM) x (NM) system for full ones.  It makes exactly
         three LAPACK solves and no factorization besides: the W0_eta stack,
-        the per-frequency terms over the same groups ((N, G, s, s)
-        curvatures against copy-summed (N, G, s, s) noise blocks) and the
-        bias stack, shaped like the W0_eta one."""
+        the bias stack, shaped like the W0_eta one, and the per-frequency
+        terms over the same groups ((1, N, G, s, s) curvatures against
+        copy-summed (1, N, G, s, s) noise blocks, for the report's one eta)."""
         ens, g = _kind_problem(kind)
         n, m = ens.n_agents, ens.dim
         assert m > 1
@@ -202,14 +202,14 @@ class TestStructuredCovariances:
             "uniform_profile": ((1, n, n), (1, n, m)),
         }
         blocks = {
-            "full": (n, 1, m, m),
-            "diagonal": (n, m, 1, 1),
-            "uniform": (n, m, 1, 1),
-            "isotropic": (n, 1, 1, 1),
-            "uniform_profile": (n, 1, 1, 1),
+            "full": (1, n, 1, m, m),
+            "diagonal": (1, n, m, 1, 1),
+            "uniform": (1, n, m, 1, 1),
+            "isotropic": (1, n, 1, 1, 1),
+            "uniform_profile": (1, n, 1, 1, 1),
         }
         assert shapes == [want[kind]]
-        assert solves == [want[kind], (blocks[kind], blocks[kind]), want[kind]]
+        assert solves == [want[kind], want[kind], (blocks[kind], blocks[kind])]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_report_neither_groups_nor_certifies_again(self, monkeypatch, kind):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import mtdiff as mt
 from mtdiff import cli
-from mtdiff.theory import _noise_blocks
+from mtdiff.theory import GRID_ROUTE_ETAS, _noise_blocks
 
 from helpers import (
     dense_frequency_msd,
@@ -40,7 +40,7 @@ def _copy_summed(ensemble, mats):
 class TestNoiseCovariance:
     def test_floor_at_eta_zero(self, het_ensemble, bench_graph):
         reg = mt.solve_regularized(het_ensemble, bench_graph, 0.0)
-        got = _noise_blocks(het_ensemble, reg)
+        got = _noise_blocks(het_ensemble, reg.solution.blocks)
         assert got.shape == (15, 1, 1, 1)
         floor = het_ensemble.noise_var[:, None, None] * het_ensemble.regressor_cov
         assert np.allclose(got, _copy_summed(het_ensemble, floor), rtol=0, atol=1e-15)
@@ -48,7 +48,7 @@ class TestNoiseCovariance:
     def test_matches_sampled_covariance(self, het_ensemble, bench_graph):
         reg = mt.solve_regularized(het_ensemble, bench_graph, 5.0)
         k = 3
-        got = _noise_blocks(het_ensemble, reg)[k]
+        got = _noise_blocks(het_ensemble, reg.solution.blocks)[k]
         emp = empirical_noise_covariance(
             het_ensemble.regressor_cov[k],
             het_ensemble.targets.blocks[k],
@@ -63,7 +63,7 @@ class TestNoiseCovariance:
 
     def test_symmetric_positive_definite(self, het_ensemble, bench_graph):
         reg = mt.solve_regularized(het_ensemble, bench_graph, 20.0)
-        for block in _noise_blocks(het_ensemble, reg).reshape(-1, 1, 1):
+        for block in _noise_blocks(het_ensemble, reg.solution.blocks).reshape(-1, 1, 1):
             assert np.allclose(block, block.T, atol=1e-14)
             assert np.linalg.eigvalsh(block).min() > 0.0
 
@@ -73,7 +73,7 @@ class TestNoiseCovariance:
         for every covariance structure, and each block SPD."""
         ens, g = _kind_problem(kind)
         reg = mt.solve_regularized(ens, g, 20.0)
-        got = _noise_blocks(ens, reg)
+        got = _noise_blocks(ens, reg.solution.blocks)
         want = _copy_summed(ens, gradient_noise_covariances(ens, reg.solution.blocks))
         assert np.allclose(got, want, rtol=1e-14, atol=0.0)
         for block in got.reshape(-1, *got.shape[2:]):
@@ -187,25 +187,40 @@ class TestOptimizeEta:
             )
 
 
+def _count_calls(monkeypatch, names):
+    """Count the calls of the named library functions wherever the library
+    calls them, and of np.linalg.eigh under the name "eigh"."""
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, original):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    for name in names:
+        if name == "eigh":
+            monkeypatch.setattr(np.linalg, "eigh", counting(name, np.linalg.eigh))
+            continue
+        original = getattr(mt, name)
+        for module in (cli, mt.engine, mt.theory):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
+    return counts
+
+
 class TestOneSolvePerPoint:
     """Every entry point for a (mu, eta) point, the simulation included,
-    checks stability once and solves once per eta."""
+    checks stability once and solves once per eta.  The exception is
+    optimize_eta's grid route (TestGridRoute): with diagonal covariances,
+    mu * max h < 1 and at least GRID_ROUTE_ETAS positive etas, it checks every
+    point and then solves the whole grid from two eigendecompositions per
+    coupled group, without solve_regularized."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        counts = {}
-        for name in ("solve_regularized", "check_stability"):
-            original = getattr(mt, name)
-            counts[name] = 0
-
-            def counted(*args, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
-                return _original(*args, **kwargs)
-
-            for module in (cli, mt.engine, mt.theory):
-                if getattr(module, name, None) is original:
-                    monkeypatch.setattr(module, name, counted)
-        return counts
+        return _count_calls(monkeypatch, ("solve_regularized", "check_stability"))
 
     def test_theory_report(self, calls, uni_ensemble, bench_graph):
         mt.theory_report(uni_ensemble, bench_graph, 1e-3, 5.0)
@@ -234,6 +249,108 @@ class TestOneSolvePerPoint:
         argv = ["simulate", "--config", str(conf), "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 0
         assert calls == {"solve_regularized": 1, "check_stability": 1}
+
+
+def _diagonal_ensemble(targets, seed=3):
+    """Per-node, per-component diagonal covariances: G = M groups of one."""
+    rng = np.random.default_rng(seed)
+    n, m = targets.n_agents, targets.block_dim
+    covs = rng.uniform(0.8, 1.2, (n, m))[:, :, None] * np.eye(m)
+    return mt.TaskEnsemble(targets, covs, rng.uniform(0.05, 0.15, n))
+
+
+def _varying150():
+    """The benchmark's theory shape: the varying profile on a 150-node graph,
+    with 0 and 15 geometric etas up to half the combine-step bound."""
+    g = mt.random_geometric_graph(150, 0.13, weight=0.1, seed=9)
+    ens = mt.varying_profile(mt.make_smooth_target(g, np.linspace(8.0, 12.0, 5), 5), seed=5)
+    bound = min(2.0 / g.lambda_max, 1.0 / g.max_degree) / 1e-3
+    return ens, g, 1e-3, np.concatenate([[0.0], np.geomspace(0.25, 0.5 * bound, 15)])
+
+
+class TestGridRoute:
+    """optimize_eta solves a grid of at least GRID_ROUTE_ETAS positive etas
+    from one eigendecomposition per coupled group and pencil when the
+    covariances are diagonal and mu * max h < 1; every other grid keeps the
+    per-point theory_report loop."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return _count_calls(monkeypatch, ("eigh", "solve_regularized", "check_stability"))
+
+    def _sweep(self, calls, ens, g, mu, grid):
+        calls.update(dict.fromkeys(calls, 0))
+        sweep = mt.optimize_eta(ens, g, mu, grid)
+        return sweep, dict(calls)
+
+    def _grid_counts(self, ens, grid):
+        groups = ens.coupled_cov.shape[0]
+        return {"eigh": 2 * groups, "solve_regularized": 0, "check_stability": grid.size}
+
+    def _point_counts(self, grid):
+        return {"eigh": 0, "solve_regularized": grid.size, "check_stability": grid.size}
+
+    @pytest.mark.parametrize("case", ["criterion-4", "varying-150", "diagonal"])
+    def test_matches_per_point_reports(self, calls, smooth_targets, bench_graph, case):
+        if case == "criterion-4":
+            ens = mt.uniform_profile(smooth_targets, sigma_u_sq=1.0, sigma_v_sq=1.0)
+            g, mu, grid = bench_graph, 5e-3, np.concatenate([[0.0], np.geomspace(0.25, 350.0, 40)])
+        elif case == "varying-150":
+            ens, g, mu, grid = _varying150()
+        else:
+            ens, g, mu = _diagonal_ensemble(smooth_targets), bench_graph, 1e-3
+            grid = np.concatenate([[0.0], np.geomspace(0.25, 100.0, 12)])
+            assert ens.coupled_cov.shape[:2] == (5, 1)
+        sweep, counts = self._sweep(calls, ens, g, mu, grid)
+        assert counts == self._grid_counts(ens, grid)
+        assert [r.eta for r in sweep.reports] == list(grid)
+        wants = [mt.theory_report(ens, g, mu, eta) for eta in grid]
+        assert sweep.eta_star == grid[np.argmin([want.msd_bar for want in wants])]
+        for got, want in zip(sweep.reports, wants):
+            for name in ("msd_bar", "msd_total", "bias_cross_term"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0)
+            for a, b in [
+                (got.solution.values, want.solution.values),
+                (got.bias_vector, want.bias_vector),
+            ]:
+                assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+            terms = want.msd_per_frequency
+            assert got.msd_per_frequency == pytest.approx(terms, rel=1e-12, abs=0.0)
+        assert np.array_equal(sweep.msd_bar_curve, [r.msd_bar for r in sweep.reports])
+
+    @pytest.mark.parametrize("positive", [GRID_ROUTE_ETAS - 1, GRID_ROUTE_ETAS])
+    def test_grid_size_selects_the_route(self, calls, het_ensemble, bench_graph, positive):
+        grid = np.concatenate([[0.0], np.geomspace(0.25, 20.0, positive)])
+        _, counts = self._sweep(calls, het_ensemble, bench_graph, 1e-3, grid)
+        if positive >= GRID_ROUTE_ETAS:
+            assert counts == self._grid_counts(het_ensemble, grid)
+        else:
+            assert counts == self._point_counts(grid)
+
+    def test_full_covariances_keep_per_point_reports(self, calls, smooth_targets, bench_graph):
+        rng = np.random.default_rng(8)
+        covs = np.stack([make_random_spd(rng, 5, eig_range=(0.8, 1.2)) for _ in range(15)])
+        ens = mt.TaskEnsemble(smooth_targets, covs, rng.uniform(0.05, 0.15, 15))
+        grid = np.concatenate([[0.0], np.geomspace(0.25, 20.0, 10)])
+        _, counts = self._sweep(calls, ens, bench_graph, 1e-3, grid)
+        assert counts == self._point_counts(grid)
+
+    def test_indefinite_bias_pencil_keeps_per_point_reports(self, calls, het_ensemble, bench_graph):
+        """mu * max h >= 1 makes H (I - mu H)^-1 indefinite, though mu < 2 / max h."""
+        mu = 0.9
+        assert 1.0 <= mu * het_ensemble.regressor_eigvals.max() < 2.0
+        grid = np.concatenate([[0.0], np.geomspace(0.01, 1.0, 10)])
+        sweep, counts = self._sweep(calls, het_ensemble, bench_graph, mu, grid)
+        assert counts == self._point_counts(grid)
+        assert np.all(np.isfinite(sweep.msd_bar_curve))
+
+    def test_unstable_point_raises_before_any_eigh(self, calls, het_ensemble, bench_graph):
+        grid = np.concatenate([[0.0], np.geomspace(0.25, 20.0, 10), [1e6]])
+        calls.update(dict.fromkeys(calls, 0))
+        with pytest.raises(mt.UnstableConfiguration) as exc:
+            mt.optimize_eta(het_ensemble, bench_graph, 1e-3, grid)
+        assert "laplacian-spectrum" in exc.value.failed
+        assert calls == {"eigh": 0, "solve_regularized": 0, "check_stability": grid.size}
 
 
 class TestBiasSurface:
@@ -273,13 +390,16 @@ def _entry_points(ens, g, mu, eta):
 
 POINT_ENTRIES = ["check_stability", "theory_report", "optimize_eta", "bias_surface"]
 
-# values that are not a finite real number at all, each given as mu and as eta
+# values that are not a finite real number at all (a bool is a numbers.Real,
+# but no step size), each given as mu and as eta
 NON_REALS = [
     pytest.param(None, id="None"),
     pytest.param("1e-3", id="str"),
     pytest.param(1e-3 + 0j, id="complex"),
     pytest.param(10**400, id="huge-int"),
     pytest.param(np.array([1.0]), id="array"),
+    pytest.param(True, id="True"),
+    pytest.param(False, id="False"),
 ]
 
 
