@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial, reduce
@@ -98,9 +99,9 @@ def default_horizon(ensemble: TaskEnsemble, mu: float) -> int:
 class SimConfig:
     """Simulation parameters.
 
-    mu and eta are kept as the Python floats check_real returns.  n_iters = 0
-    selects the default horizon.  init is the initial estimate, N*M values in
-    node order (defaults to zero).
+    mu and eta are kept as the Python floats check_real returns, and n_iters,
+    n_runs and seed as Python ints.  n_iters = 0 selects the default horizon.
+    init is the initial estimate, N*M values in node order (defaults to zero).
     """
 
     mu: float
@@ -115,8 +116,10 @@ class SimConfig:
         object.__setattr__(self, "mu", check_real("mu", self.mu, positive=True))
         object.__setattr__(self, "eta", check_real("eta", self.eta, positive=False))
         for name in ("n_iters", "n_runs", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            value = getattr(self, name)  # a bool is an Integral, but no count or seed
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise InvalidArgument(f"{name} must be an integer")
+            object.__setattr__(self, name, operator.index(value))  # so seed << 64 cannot wrap
         if self.n_iters < 0 or self.n_runs < 1:
             raise InvalidArgument("n_iters must be >= 0 and n_runs >= 1")
         if check_real("steady_window_frac", self.steady_window_frac, positive=True) > 1.0:

@@ -20,29 +20,28 @@ frequencies for every covariance profile.  The smoothness penalty acts on each
 of the M components alike, so only the covariances R_uk couple one component
 to another.  The ensemble groups them once (TaskEnsemble.coupled_cov) into G
 groups of s coupled components, with r = M/(Gs) copies of each group sharing
-its covariances.  W0_eta and the bias are solved as one (G, sN, sN) stack with
-r right-hand sides each, and the curvature at each frequency is
-block-diagonal over the same groups, so its trace needs only the matching
-(s, s) blocks of the noise, summed over the r copies: N * G solves of size s.
-Isotropic R_uk = sigma_k^2 I (every bundled config) give one shared N x N
-system for M right-hand sides, other diagonal R_uk M N x N systems, and any
-other covariance one (NM) x (NM) system.  The W0_eta stack is certified well
-conditioned from the curvature spectrum and lambda_max(L), without a
-factorization, before its one LU solve; a stack the bound cannot certify is
-solved through a symmetric eigendecomposition, which raises SingularSystem
-when it is numerically singular.
+its covariances.  The curvature at each frequency is block-diagonal over the
+groups, so its trace needs only the matching (s, s) blocks of the noise,
+summed over the r copies: N * G solves of size s.
 
-theory_report is the one entry point for a (mu, eta) point: it checks
-stability, solves W0_eta and computes the bias once, and its report carries
-all three; bias_surface and the engine build on it.  optimize_eta calls it at
-each eta, except on its grid route: with diagonal covariances, mu * max h < 1
-and at least GRID_ROUTE_ETAS positive etas, it checks every point, then
-eigendecomposes the two symmetric-definite pencils of each group once, so each
-eta costs a few matrix products in place of two LU solves, and computes the
-report terms of the whole grid in one batched pass.  The one real-number
-rule, check_real, admits a finite mu > 0 and a finite eta >= 0 (Python or
-numpy reals but not bools, handed back as Python floats) and nothing else;
-each entry point and the engine's SimConfig check only the scalars they take.
+One function, _solve, builds and solves both systems for a set of etas:
+W0_eta, and given it the bias at one mu.  theory_report, optimize_eta and
+bias_surface call it, and the engine reads theory_report.  Its inputs pick its
+route.  The W0_eta stack is certified well conditioned from the curvature
+spectrum and lambda_max(L), without a factorization.  With diagonal
+covariances, I - mu H > 0, at least GRID_ROUTE_ETAS positive etas and, for
+W0_eta, that certificate, one eigendecomposition of each group's
+symmetric-definite pencil serves every eta.  Otherwise each eta's groups form
+one stack of sN x sN systems with r right-hand sides each, solved one eta at a
+time so that memory does not grow with the grid: isotropic R_uk = sigma_k^2 I
+(every bundled config) give one N x N system, other diagonal R_uk M, and any
+other covariance one (NM) x (NM) system.  A certified W0_eta stack takes one LU
+solve; one the bound cannot certify is solved through a symmetric
+eigendecomposition, which raises SingularSystem when it is numerically
+singular.  The one real-number rule, check_real, admits a finite
+mu > 0 and a finite eta >= 0 (Python or numpy reals but not bools, handed back
+as Python floats) and nothing else; each entry point and the engine's
+SimConfig check only the scalars they take.
 """
 
 from __future__ import annotations
@@ -153,13 +152,15 @@ def check_stability(
     return StabilityVerdict(conditions=conditions)
 
 
-def _require_stable(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> None:
-    verdict = check_stability(ensemble, g, mu, eta)
-    if not verdict.ok:
-        raise UnstableConfiguration(
-            "unstable (mu, eta): " + "; ".join(verdict.failed_messages()),
-            failed=tuple(c.name for c in verdict.conditions if not c.ok),
-        )
+def _require_stable(ensemble: TaskEnsemble, g: Graph, mus: Sequence, etas: Sequence) -> None:
+    for eta in etas:
+        for mu in mus:
+            verdict = check_stability(ensemble, g, mu, eta)
+            if not verdict.ok:
+                raise UnstableConfiguration(
+                    "unstable (mu, eta): " + "; ".join(verdict.failed_messages()),
+                    failed=tuple(c.name for c in verdict.conditions if not c.ok),
+                )
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,6 +175,12 @@ class RegularizedSolution:
     mismatch_sq: float
 
 
+def _certified(kappa: float, n: int) -> bool:
+    """Whether floating-point Cholesky provably completes on every n x n SPD
+    matrix of 2-norm condition number at most kappa (see _spd_solve)."""
+    return kappa * n * (n + 1) * _UNIT_ROUNDOFF <= 0.5
+
+
 def _spd_solve(mat: np.ndarray, rhs: np.ndarray, kappa: float = math.inf) -> np.ndarray:
     """Solve an SPD system, or a stack of them.
 
@@ -186,8 +193,7 @@ def _spd_solve(mat: np.ndarray, rhs: np.ndarray, kappa: float = math.inf) -> np.
     symmetric part, and SingularSystem is raised when an eigenvalue is not
     above 1e-14 times the largest (or 1, if larger).
     """
-    n = mat.shape[-1]
-    if kappa * n * (n + 1) * _UNIT_ROUNDOFF <= 0.5:
+    if _certified(kappa, mat.shape[-1]):
         return np.linalg.solve(mat, rhs)
     vals, vecs = np.linalg.eigh(0.5 * mat + 0.5 * np.swapaxes(mat, -1, -2))  # no overflow
     top = np.maximum(1.0, vals.max(axis=-1, keepdims=True))
@@ -209,6 +215,90 @@ def _lu_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+#: positive etas from which _solve takes its pencil route: one eigh of an
+#: N x N pencil costs about as much as 8 LU solves of the same size (measured
+#: eigh/LU ratios 8.1 at N=50 and N=150, 7.6 at N=400, 8.4 at N=1000, with
+#: one BLAS thread), and the LU route pays one solve per eta
+GRID_ROUTE_ETAS = 8
+
+
+def _solve(
+    ensemble: TaskEnsemble, g: Graph, etas: np.ndarray, mu: float = 0.0, solutions=None
+) -> np.ndarray:
+    """W0_eta at every eta of etas (E,) when mu = 0; otherwise, given those
+    W0_eta as solutions, the steady-state mean offset E[W0_eta - W_inf] of the
+    adaptive recursion at each admissible (mu, eta).  Both come back as
+    (E, N, M) blocks in node order, the targets and a zero offset at eta = 0.
+
+    Each coupled group g solves (c eta (I_s kron L)(I - mu H_g) + c H_g) x_g =
+    rhs_g: W0_eta with c = 1 and rhs = H W0, and the offset, the fixed point of
+    the noise-free error recursion, with c = mu and rhs = mu^2 eta^2
+    (L kron I)^2 W0_eta, its matrix formed so rather than as I - (I - mu eta
+    L kron I)(I - mu H).  The route is the module docstring's.  SingularSystem
+    when eta * lambda_max(L) overflows or a solution is not finite.
+    """
+    n, m, lap, cov = ensemble.n_agents, ensemble.dim, g.laplacian, ensemble.coupled_cov
+    groups, s, values = *cov.shape[:2], etas.tolist()
+    if not values or 0.0 in values:  # eta = 0 gives the targets and a zero offset unsolved
+        fill = np.zeros((n, m)) if mu else ensemble.targets.blocks
+        out = np.repeat(fill[None], len(etas), axis=0)
+        pos = np.flatnonzero(etas)
+        if len(pos):
+            out[pos] = _solve(ensemble, g, etas[pos], mu, solutions[pos] if mu else None)
+        return out
+    e, top = len(etas), max(values)
+    if mu:  # the bias, at etas whose W0_eta is already solved
+        step = np.eye(s)[:, :, None] - mu * cov
+        # squared by libm's pow, as a Python float is: numpy's square can differ
+        rhs = np.float_power(mu * etas, 2)[:, None, None] * (lap @ (lap @ solutions))
+        rhs = rhs.reshape(e, n, groups, s, -1).transpose(0, 2, 3, 1, 4)
+    else:
+        if not math.isfinite(top * g.lambda_max):
+            raise SingularSystem(f"eta * lambda_max(L) overflows at eta={top!r}")
+        curv = ensemble.regressor_eigvals
+        r_min, r_max = float(curv.min()), float(curv.max())
+        # Weyl: L is PSD and the spectrum of H_g lies in [r_min, r_max]
+        kappas = [(eta * g.lambda_max + r_max) / r_min if r_min > 0.0 else math.inf
+                  for eta in values]
+        w0 = ensemble.targets.blocks.reshape(n, groups, s, -1)  # [a, g, l, c]
+        rhs = np.einsum("gkla,aglc->gkac", cov, w0)[None]
+    pencil = s == 1 and e >= GRID_ROUTE_ETAS and mu * ensemble.regressor_eigvals.max() < 1.0
+    # an uncertified W0_eta stack takes _spd_solve's singularity check, as at one eta
+    if pencil and (mu or _certified(max(kappas), n)):
+        # per group c (eta L + D)(I - mu H_g) x = rhs with D = H_g (I - mu H_g)^-1, from
+        # one eigh of D^-1/2 L D^-1/2 = Q diag(theta) Q' for every eta
+        st = step[:, 0, 0, :, None, None] if mu else 1.0  # I - mu H_g as (G, N, 1, 1)
+        with np.errstate(all="ignore"):  # a non-finite result is reported below
+            root = np.sqrt(cov[:, 0, 0, :, None, None] / st)
+            try:
+                theta, q = np.linalg.eigh(lap / root[..., 0] / root[:, None, :, 0, 0])
+            except np.linalg.LinAlgError:  # a pencil overflows
+                raise SingularSystem("a pencil D^-1/2 L D^-1/2 cannot be decomposed") from None
+            y = rhs[:, :, 0].transpose(1, 2, 0, 3) / root  # (G, N, E or 1, r)
+            y = (np.swapaxes(q, 1, 2) @ y.reshape(groups, n, -1)).reshape(y.shape)
+            # L is PSD, so theta >= 0 up to rounding and every eta * theta + 1 >= 1
+            y = y / (np.maximum(theta, 0.0)[:, :, None, None] * etas[:, None] + 1.0)
+            x = (q @ y.reshape(groups, n, -1)).reshape(y.shape) / root / ((mu or 1.0) * st)
+        if not np.all(np.isfinite(x)):
+            raise SingularSystem("a pencil solution is not finite")
+        return x.transpose(2, 1, 0, 3).reshape(e, n, m)
+    out = np.empty((e, n, m))
+    for i, eta in enumerate(values):  # one (G, sN, sN) stack in memory at a time
+        if mu:
+            mats = (mu * eta) * lap[:, None, :] * step[:, :, None]
+            np.einsum("gkala->gkla", mats)[...] += mu * cov
+        else:  # only the diagonal blocks are nonzero
+            mats = np.zeros((groups, s, n, s, n))
+            # einsum with a repeated index returns a writable view of that diagonal
+            np.einsum("gkakb->gkab", mats)[...] = eta * lap
+            np.einsum("gkala->gkla", mats)[...] += cov
+        mats = mats.reshape(groups, s * n, s * n)
+        b = rhs[i if mu else 0].reshape(groups, s * n, -1)  # W0_eta's is the same at every eta
+        x = _lu_solve(mats, b) if mu else _spd_solve(mats, b, kappas[i])
+        out[i] = x.reshape(groups, s, n, -1).transpose(2, 0, 1, 3).reshape(n, m)
+    return out
+
+
 def _regularized(ensemble: TaskEnsemble, eta: float, blocks: np.ndarray) -> RegularizedSolution:
     sol = StackedSignal.from_blocks(blocks)
     mismatch = sol.values - ensemble.targets.values
@@ -223,55 +313,7 @@ def solve_regularized(ensemble: TaskEnsemble, g: Graph, eta: float) -> Regulariz
     """
     _check_signal(ensemble.targets, g)
     eta = check_real("eta", eta, positive=False)
-    if not math.isfinite(eta * g.lambda_max):
-        raise SingularSystem(f"eta * lambda_max(L) overflows at eta={eta!r}")
-    n, m = ensemble.n_agents, ensemble.dim
-    if eta == 0.0:
-        return _regularized(ensemble, eta, ensemble.targets.blocks)
-    # group g: (I_s kron eta L + H_g) w_g = H_g w0_g
-    cov = ensemble.coupled_cov
-    groups, s = cov.shape[:2]
-    mats = np.zeros((groups, s, n, s, n))
-    # einsum with a repeated index returns a writable view of that diagonal
-    np.einsum("gkakb->gkab", mats)[...] = eta * g.laplacian
-    np.einsum("gkala->gkla", mats)[...] += cov
-    w0 = ensemble.targets.blocks.reshape(n, groups, s, -1)  # [a, g, l, c]
-    rhs = np.einsum("gkla,aglc->gkac", cov, w0).reshape(groups, s * n, -1)
-    curv = ensemble.regressor_eigvals
-    r_min, r_max = float(curv.min()), float(curv.max())
-    # Weyl: L is PSD and the spectrum of H_g lies in [r_min, r_max]
-    kappa = (eta * g.lambda_max + r_max) / r_min if r_min > 0.0 else math.inf
-    w = _spd_solve(mats.reshape(groups, s * n, s * n), rhs, kappa)
-    w = w.reshape(groups, s, n, -1)
-    return _regularized(ensemble, eta, w.transpose(2, 0, 1, 3).reshape(n, m))
-
-
-def _long_term_bias(
-    ensemble: TaskEnsemble, g: Graph, mu: float, reg: RegularizedSolution
-) -> np.ndarray:
-    """Steady-state mean offset E[W0_eta - W_inf] of the adaptive recursion at
-    an already admissible (mu, eta), given the solution W0_eta at that eta.
-
-    Solves (I - B_eta) x = mu^2 eta^2 (L kron I)^2 W0_eta with
-    B_eta = (I - mu*eta*L kron I)(I - mu*H_eta), i.e. the fixed point of the
-    noise-free error recursion, and returns x (length NM, node order).  The
-    system is solved, never inverted.
-    """
-    n, m, eta = ensemble.n_agents, ensemble.dim, reg.eta
-    if eta == 0.0:
-        return np.zeros(n * m)
-    # group g: (I - (I - I_s kron mu eta L)(I - mu H_g)) x_g = rhs_g, the matrix
-    # formed as mu eta (I_s kron L)(I - mu H_g) + mu H_g, not 1 - (1 - a)(1 - b)
-    cov = ensemble.coupled_cov
-    groups, s = cov.shape[:2]
-    lap = g.laplacian
-    step = np.eye(s)[:, :, None] - mu * cov
-    mats = (mu * eta) * lap[:, None, :] * step[:, :, None]
-    np.einsum("gkala->gkla", mats)[...] += mu * cov
-    rhs = (mu * eta) ** 2 * (lap @ (lap @ reg.solution.blocks))
-    rhs = rhs.reshape(n, groups, s, -1).transpose(1, 2, 0, 3).reshape(groups, s * n, -1)
-    x = _lu_solve(mats.reshape(groups, s * n, s * n), rhs).reshape(groups, s, n, -1)
-    return x.transpose(2, 0, 1, 3).reshape(-1)
+    return _regularized(ensemble, eta, _solve(ensemble, g, np.array([eta]))[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,15 +403,18 @@ def msd_noncoop(ensemble: TaskEnsemble, mu: float) -> float:
     return mu * ensemble.dim * float(ensemble.noise_var.mean()) / 2.0
 
 
-def _reports(
-    ensemble: TaskEnsemble, g: Graph, mu: float, regs: list, biases: np.ndarray
-) -> list[TheoryReport]:
-    """The reports at admissible points (mu, reg.eta), given each W0_eta and
-    its bias (one row of biases each), with one batched per-frequency pass."""
-    etas = np.array([reg.eta for reg in regs])
-    terms = _per_frequency_terms(ensemble, g, mu, etas, np.array([r.solution.blocks for r in regs]))
+def _reports(ensemble: TaskEnsemble, g: Graph, mu: float, etas: Sequence) -> list[TheoryReport]:
+    """The report at (mu, eta) for every eta of etas: every point is checked
+    first, then one W0_eta solve, one bias solve and one per-frequency pass
+    serve them all.  They compute with the admitted values as Python floats."""
+    _require_stable(ensemble, g, [mu], etas)
+    mu, etas = float(mu), np.array(etas, dtype=float)
+    sols = _solve(ensemble, g, etas)
+    biases = _solve(ensemble, g, etas, mu, sols).reshape(len(etas), -1)
+    terms = _per_frequency_terms(ensemble, g, mu, etas, sols)
     n, noncoop, reports = ensemble.n_agents, msd_noncoop(ensemble, mu), []
-    for reg, bias, msd in zip(regs, biases, terms):
+    for eta, sol, bias, msd in zip(etas, sols, biases, terms):
+        reg = _regularized(ensemble, float(eta), sol)
         total = float(msd.sum())
         cross = 2.0 / n * float((ensemble.targets.values - reg.solution.values) @ bias)
         reports.append(TheoryReport(
@@ -388,57 +433,7 @@ def theory_report(ensemble: TaskEnsemble, g: Graph, mu: float, eta: float) -> Th
     any fails) and solves the regularized problem once; every field of the
     report reads that one solution.
     """
-    _require_stable(ensemble, g, mu, eta)
-    mu = float(mu)  # the admitted value, so a numpy scalar computes as a Python float
-    reg = solve_regularized(ensemble, g, eta)
-    return _reports(ensemble, g, mu, [reg], _long_term_bias(ensemble, g, mu, reg)[None])[0]
-
-
-#: positive etas from which optimize_eta takes the grid route: one eigh of an
-#: N x N pencil costs about as much as 8 LU solves of the same size (measured
-#: eigh/LU ratios 8.1 at N=50 and N=150, 7.6 at N=400, 8.4 at N=1000, with
-#: one BLAS thread), and each eta of the per-point route pays one of each pair
-GRID_ROUTE_ETAS = 8
-
-
-def _pencil_solve(lap: np.ndarray, d: np.ndarray, etas: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """(eta L + diag(d))^-1 rhs at every eta of etas, for a positive d, from one
-    eigh of D^-1/2 L D^-1/2 = Q diag(theta) Q'.  rhs is (N, E, k), or (N, 1, k)
-    when it is the same at every eta; the result is (N, E, k)."""
-    n, root = len(d), np.sqrt(d)[:, None, None]
-    try:
-        theta, q = np.linalg.eigh(lap / root[:, :, 0] / root[:, 0, 0])
-    except np.linalg.LinAlgError:  # the pencil overflows
-        raise SingularSystem("a pencil D^-1/2 L D^-1/2 cannot be decomposed") from None
-    coef = (q.T @ (rhs / root).reshape(n, -1)).reshape(rhs.shape)
-    # L is PSD, so theta >= 0 up to rounding and every eta * theta + 1 >= 1
-    coef = coef / (np.maximum(theta, 0.0)[:, None, None] * etas[:, None] + 1.0)
-    return (q @ coef.reshape(n, -1)).reshape(coef.shape) / root
-
-
-def _grid_reports(ensemble: TaskEnsemble, g: Graph, mu: float, grid: np.ndarray) -> list:
-    """theory_report at every eta of an admissible grid with grid[0] = 0, for
-    diagonal covariances H_g = diag(h) with mu * max h < 1.  Per group, the
-    pencil (L, H_g) gives W0_eta at every positive eta, and (L, H'_g), H'_g =
-    H_g (I - mu H_g)^-1, the bias: _long_term_bias's system is mu (eta L +
-    H'_g)(I - mu H_g) x = rhs.  SingularSystem when a result is not finite."""
-    n, m, lap, etas = ensemble.n_agents, ensemble.dim, g.laplacian, grid[1:]
-    diags = ensemble.coupled_cov[:, 0, 0]  # (G, N)
-    w0 = ensemble.targets.blocks.reshape(n, 1, len(diags), -1)  # [a, eta, g, c]
-    sol, bias = np.empty((2, n, len(etas), *w0.shape[2:]))
-    for j, h in enumerate(diags):
-        with np.errstate(all="ignore"):  # a non-finite result is reported below
-            sol[:, :, j] = _pencil_solve(lap, h, etas, h[:, None, None] * w0[:, :, j])
-            rhs = (lap @ (lap @ sol[:, :, j].reshape(n, -1))).reshape(n, len(etas), -1)
-            rhs *= ((mu * etas) ** 2)[:, None]
-            step = (1.0 - mu * h)[:, None, None]
-            bias[:, :, j] = _pencil_solve(lap, h / step[:, 0, 0], etas, rhs) / (mu * step)
-    if not (np.all(np.isfinite(sol)) and np.all(np.isfinite(bias))):
-        raise SingularSystem("a grid solution or bias is not finite")
-    regs = [_regularized(ensemble, 0.0, ensemble.targets.blocks)]
-    regs += [_regularized(ensemble, float(e), sol[:, i].reshape(n, m)) for i, e in enumerate(etas)]
-    biases = np.concatenate((np.zeros((1, n * m)), bias.transpose(1, 0, 2, 3).reshape(-1, n * m)))
-    return _reports(ensemble, g, mu, regs, biases)
+    return _reports(ensemble, g, mu, [eta])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,9 +454,9 @@ def optimize_eta(
     Plain grid search (the curve need not be unimodal); ties resolve to the
     smallest eta.  The grid must be a nonempty, strictly ascending sequence of
     etas that contains 0, so the non-cooperative corner is always a candidate.
-    Each report is theory_report's at its point, or on the grid route (diagonal
-    covariances, mu * max h < 1, at least GRID_ROUTE_ETAS positive etas) the
-    same values to rounding, from one eigendecomposition per group and pencil.
+    Every point is checked before anything is solved; one batched solve over
+    the grid (_solve) gives theory_report's values, to rounding on its pencil
+    route.
     """
     grid = np.array([check_real("eta", eta, positive=False) for eta in grid])
     if grid.size == 0:
@@ -470,16 +465,7 @@ def optimize_eta(
         raise InvalidArgument("eta grid must be strictly ascending")
     if grid[0] != 0.0:
         raise InvalidArgument("eta grid must include 0")
-    if (
-        ensemble.coupled_cov.shape[1] == 1  # diagonal covariances
-        and np.count_nonzero(grid) >= GRID_ROUTE_ETAS
-        and check_real("mu", mu, positive=True) * ensemble.regressor_eigvals.max() < 1.0
-    ):
-        for eta in grid:
-            _require_stable(ensemble, g, mu, eta)
-        reports = tuple(_grid_reports(ensemble, g, float(mu), grid))
-    else:
-        reports = tuple(theory_report(ensemble, g, mu, float(eta)) for eta in grid)
+    reports = tuple(_reports(ensemble, g, mu, grid))
     values = np.array([r.msd_bar for r in reports])
     best = int(np.argmin(values))  # first minimum = smallest eta on ties
     return EtaSweep(eta_star=float(grid[best]), etas=grid, msd_bar_curve=values, reports=reports)
@@ -494,13 +480,13 @@ def bias_surface(
 
     Every pair is checked before anything is solved, so an inadmissible pair
     raises UnstableConfiguration without a solve.  W0_eta does not depend on
-    mu, so it is solved once per eta.
+    mu, so it is solved once for all etas, and the bias once per mu.
     """
-    for eta in etas:
-        for mu in mus:
-            _require_stable(ensemble, g, mu, eta)
+    _require_stable(ensemble, g, mus, etas)
+    etas = np.array([check_real("eta", eta, positive=False) for eta in etas])
+    sols = _solve(ensemble, g, etas)
     surface = np.empty((len(etas), len(mus)))
-    for i, eta in enumerate(etas):
-        reg = solve_regularized(ensemble, g, eta)
-        surface[i] = [b @ b for b in (_long_term_bias(ensemble, g, float(mu), reg) for mu in mus)]
+    for j, mu in enumerate(mus):
+        biases = _solve(ensemble, g, etas, check_real("mu", mu, positive=True), sols)
+        surface[:, j] = [b.ravel() @ b.ravel() for b in biases]
     return surface

@@ -39,7 +39,7 @@ def test_theory_family_passes_its_output_checks(tmp_path):
 
 
 def test_full_theory_grid_takes_the_grid_route(tmp_path, monkeypatch):
-    """theory150's full grid: 16 reports, then optimize_eta on the grid route,
+    """theory150's full grid: 16 reports, then optimize_eta on the pencil route,
     whose two eigendecompositions (one per pencil of the isotropic profile's
     one group) are the only eigh calls of the family."""
     inp = workloads.setup("theory150", seed=5, work=tmp_path, nproc=1)
@@ -50,7 +50,7 @@ def test_full_theory_grid_takes_the_grid_route(tmp_path, monkeypatch):
     tally = workloads.Tally()
     workloads._run_theory(inp, Tracer(), tally)
     assert (tally.attempted, tally.failed) == (inp.grid.size + 3, 0)
-    assert eighs == [(150, 150)] * 2
+    assert eighs == [(1, 150, 150)] * 2
 
 
 def test_cli_family_exits_0_and_reruns_byte_identical(tmp_path):

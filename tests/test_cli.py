@@ -19,7 +19,7 @@ from mtdiff import config
 from mtdiff.cli import _slug, main
 from mtdiff.config import build_ensemble, build_graph, load_config
 
-from test_theory import _entry_points
+from test_theory import _count_calls, _entry_points
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 RING = "\n".join(f"{k} {k % 5 + 1} 0.2" for k in range(1, 6)) + "\n"
@@ -224,22 +224,17 @@ class TestBiasScanCommand:
         assert (out / "bias_scan.svg").exists()
 
     def test_one_solve_per_eta_and_surface_matches_pairs(self, tmp_path, monkeypatch):
-        """W0_eta is solved once per eta for all mu, and every cell equals
-        the theory_report bias at its (mu, eta) pair exactly."""
+        """W0_eta is solved once for every eta and all mu, the bias once per
+        mu for every eta, and every cell equals the theory_report bias at its
+        (mu, eta) pair exactly."""
         path = _write_config(
             tmp_path, {"algo.mu": "1e-3, 1e-4, 1e-5", "algo.eta": "0, 1, 5"}
         )
-        solved = []
-        solve = mt.theory.solve_regularized
-
-        def record(ens, g, eta):
-            solved.append(eta)
-            return solve(ens, g, eta)
-
-        monkeypatch.setattr(mt.theory, "solve_regularized", record)
+        calls = _count_calls(monkeypatch, ("solve",))
         out = tmp_path / "res"
         assert main(["bias-scan", "--config", str(path), "--out", str(out)]) == 0
-        assert solved == [0.0, 1.0, 5.0]
+        etas = (0.0, 1.0, 5.0)
+        assert calls["solve"] == [(0.0, etas), (1e-3, etas), (1e-4, etas), (1e-5, etas)]
         monkeypatch.undo()
         cfg = load_config(path)
         g = build_graph(cfg)

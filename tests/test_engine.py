@@ -163,6 +163,18 @@ class TestReproducibility:
         r1 = engine.monte_carlo(het_ensemble, bench_graph, mt.SimConfig(seed=4, **base))
         assert not np.array_equal(r0.curve_vs_reg, r1.curve_vs_reg)
 
+    @pytest.mark.parametrize("seed", [np.int64(3), np.uint64(3), np.int32(3)])
+    def test_numpy_integer_seed_is_the_python_seed(self, het_ensemble, bench_graph, seed):
+        """A numpy integer seed keys the same Philox streams as the Python int."""
+        cfg = mt.SimConfig(mu=1e-3, eta=2.0, n_iters=np.int64(50), n_runs=np.int16(2), seed=seed)
+        assert type(cfg.seed) is type(cfg.n_iters) is type(cfg.n_runs) is int
+        got = engine.monte_carlo(het_ensemble, bench_graph, cfg)
+        want = engine.monte_carlo(
+            het_ensemble, bench_graph, mt.SimConfig(mu=1e-3, eta=2.0, n_iters=50, n_runs=2, seed=3)
+        )
+        assert np.array_equal(got.curve_vs_reg, want.curve_vs_reg)
+        assert np.array_equal(got.curve_vs_target, want.curve_vs_target)
+
 
 class TestResultContract:
     def test_steady_values_average_final_window(self, het_ensemble, bench_graph):
@@ -277,6 +289,9 @@ class TestConfigAndStability:
             dict(mu=1e-3, eta=0.0, init=np.array(["a"])),
             dict(mu=1e-3, eta=0.0, init=[1.0, None]),
             dict(mu=1e-3, eta=0.0, steady_window_frac="0.1"),
+            dict(mu=1e-3, eta=0.0, seed=True),
+            dict(mu=1e-3, eta=0.0, n_runs=True),
+            dict(mu=1e-3, eta=0.0, n_iters=False),
         ],
     )
     def test_invalid_config_rejected(self, kwargs):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -189,19 +190,36 @@ class TestOptimizeEta:
 
 def _count_calls(monkeypatch, names):
     """Count the calls of the named library functions wherever the library
-    calls them, and of np.linalg.eigh under the name "eigh"."""
-    counts = dict.fromkeys(names, 0)
+    calls them, and the matrices np.linalg.eigh decomposes under the name
+    "eigh".  The shared solve theory._solve is recorded under "solve" as one
+    (mu, etas) pair per call from outside it, mu = 0 for W0_eta and the etas
+    as a tuple."""
+    counts = {name: [] if name == "solve" else 0 for name in names}
+    depth = []
 
     def counting(name, original):
         def counted(*args, **kwargs):
-            counts[name] += 1
+            counts[name] += int(np.prod(args[0].shape[:-2])) if name == "eigh" else 1
             return original(*args, **kwargs)
 
         return counted
 
+    def recorded(ens, g, etas, mu=0.0, solutions=None):
+        if not depth:
+            counts["solve"].append((mu, tuple(etas.tolist())))
+        depth.append(mu)
+        try:
+            return solve(ens, g, etas, mu, solutions)
+        finally:
+            depth.pop()
+
     for name in names:
         if name == "eigh":
             monkeypatch.setattr(np.linalg, "eigh", counting(name, np.linalg.eigh))
+            continue
+        if name == "solve":
+            solve = mt.theory._solve
+            monkeypatch.setattr(mt.theory, "_solve", recorded)
             continue
         original = getattr(mt, name)
         for module in (cli, mt.engine, mt.theory):
@@ -210,33 +228,38 @@ def _count_calls(monkeypatch, names):
     return counts
 
 
+def _solves(mu, etas):
+    """The shared solve's calls for a report at each eta of etas: W0_eta at
+    all of them, then the bias at all of them."""
+    return [(0.0, tuple(etas)), (mu, tuple(etas))]
+
+
 class TestOneSolvePerPoint:
     """Every entry point for a (mu, eta) point, the simulation included,
-    checks stability once and solves once per eta.  The exception is
-    optimize_eta's grid route (TestGridRoute): with diagonal covariances,
-    mu * max h < 1 and at least GRID_ROUTE_ETAS positive etas, it checks every
-    point and then solves the whole grid from two eigendecompositions per
-    coupled group, without solve_regularized."""
+    checks stability once and solves once per eta: one call of the shared
+    solve for W0_eta and one for the bias, each at the point's eta.
+    optimize_eta checks every grid point and then makes those two calls for
+    the whole grid (TestGridRoute)."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        return _count_calls(monkeypatch, ("solve_regularized", "check_stability"))
+        return _count_calls(monkeypatch, ("solve", "check_stability"))
 
     def test_theory_report(self, calls, uni_ensemble, bench_graph):
         mt.theory_report(uni_ensemble, bench_graph, 1e-3, 5.0)
-        assert calls == {"solve_regularized": 1, "check_stability": 1}
+        assert calls == {"solve": _solves(1e-3, [5.0]), "check_stability": 1}
 
     def test_optimize_eta_keeps_its_reports(self, calls, het_ensemble, bench_graph):
         grid = np.array([0.0, 1.0, 5.0])
         sweep = mt.optimize_eta(het_ensemble, bench_graph, 1e-3, grid)
-        assert calls == {"solve_regularized": 3, "check_stability": 3}
+        assert calls == {"solve": _solves(1e-3, grid), "check_stability": 3}
         assert [r.eta for r in sweep.reports] == list(grid)
         assert np.array_equal(sweep.msd_bar_curve, [r.msd_bar for r in sweep.reports])
 
     def test_monte_carlo(self, calls, het_ensemble, bench_graph):
         cfg = mt.SimConfig(mu=1e-3, eta=5.0, n_iters=50, seed=1)
         res = mt.monte_carlo(het_ensemble, bench_graph, cfg)
-        assert calls == {"solve_regularized": 1, "check_stability": 1}
+        assert calls == {"solve": _solves(1e-3, [5.0]), "check_stability": 1}
         assert (res.theory.mu, res.theory.eta) == (1e-3, 5.0)
 
     def test_simulate_command(self, calls, tmp_path):
@@ -248,7 +271,7 @@ class TestOneSolvePerPoint:
         )
         argv = ["simulate", "--config", str(conf), "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 0
-        assert calls == {"solve_regularized": 1, "check_stability": 1}
+        assert calls == {"solve": _solves(0.01, [1.0]), "check_stability": 1}
 
 
 def _diagonal_ensemble(targets, seed=3):
@@ -269,26 +292,24 @@ def _varying150():
 
 
 class TestGridRoute:
-    """optimize_eta solves a grid of at least GRID_ROUTE_ETAS positive etas
-    from one eigendecomposition per coupled group and pencil when the
-    covariances are diagonal and mu * max h < 1; every other grid keeps the
-    per-point theory_report loop."""
+    """The shared solve takes its pencil route, one eigendecomposition per
+    coupled group and pencil for every eta, at GRID_ROUTE_ETAS positive etas
+    or more when the covariances are diagonal, mu * max h < 1 (W0_eta has
+    mu = 0) and, for W0_eta, the stack is certified well conditioned;
+    otherwise each eta is one stack of LU solves.  optimize_eta checks every
+    point, then solves W0_eta and the bias once for the grid."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        return _count_calls(monkeypatch, ("eigh", "solve_regularized", "check_stability"))
+        return _count_calls(monkeypatch, ("eigh", "solve", "check_stability"))
 
     def _sweep(self, calls, ens, g, mu, grid):
-        calls.update(dict.fromkeys(calls, 0))
+        calls.update(eigh=0, solve=[], check_stability=0)
         sweep = mt.optimize_eta(ens, g, mu, grid)
         return sweep, dict(calls)
 
-    def _grid_counts(self, ens, grid):
-        groups = ens.coupled_cov.shape[0]
-        return {"eigh": 2 * groups, "solve_regularized": 0, "check_stability": grid.size}
-
-    def _point_counts(self, grid):
-        return {"eigh": 0, "solve_regularized": grid.size, "check_stability": grid.size}
+    def _counts(self, mu, grid, eigh):
+        return {"eigh": eigh, "solve": _solves(mu, grid), "check_stability": grid.size}
 
     @pytest.mark.parametrize("case", ["criterion-4", "varying-150", "diagonal"])
     def test_matches_per_point_reports(self, calls, smooth_targets, bench_graph, case):
@@ -302,7 +323,7 @@ class TestGridRoute:
             grid = np.concatenate([[0.0], np.geomspace(0.25, 100.0, 12)])
             assert ens.coupled_cov.shape[:2] == (5, 1)
         sweep, counts = self._sweep(calls, ens, g, mu, grid)
-        assert counts == self._grid_counts(ens, grid)
+        assert counts == self._counts(mu, grid, 2 * ens.coupled_cov.shape[0])
         assert [r.eta for r in sweep.reports] == list(grid)
         wants = [mt.theory_report(ens, g, mu, eta) for eta in grid]
         assert sweep.eta_star == grid[np.argmin([want.msd_bar for want in wants])]
@@ -322,54 +343,83 @@ class TestGridRoute:
     def test_grid_size_selects_the_route(self, calls, het_ensemble, bench_graph, positive):
         grid = np.concatenate([[0.0], np.geomspace(0.25, 20.0, positive)])
         _, counts = self._sweep(calls, het_ensemble, bench_graph, 1e-3, grid)
-        if positive >= GRID_ROUTE_ETAS:
-            assert counts == self._grid_counts(het_ensemble, grid)
-        else:
-            assert counts == self._point_counts(grid)
+        eigh = 2 * het_ensemble.coupled_cov.shape[0] if positive >= GRID_ROUTE_ETAS else 0
+        assert counts == self._counts(1e-3, grid, eigh)
 
-    def test_full_covariances_keep_per_point_reports(self, calls, smooth_targets, bench_graph):
+    def test_full_covariances_take_the_lu_route(self, calls, smooth_targets, bench_graph):
         rng = np.random.default_rng(8)
         covs = np.stack([make_random_spd(rng, 5, eig_range=(0.8, 1.2)) for _ in range(15)])
         ens = mt.TaskEnsemble(smooth_targets, covs, rng.uniform(0.05, 0.15, 15))
         grid = np.concatenate([[0.0], np.geomspace(0.25, 20.0, 10)])
         _, counts = self._sweep(calls, ens, bench_graph, 1e-3, grid)
-        assert counts == self._point_counts(grid)
+        assert counts == self._counts(1e-3, grid, 0)
 
-    def test_indefinite_bias_pencil_keeps_per_point_reports(self, calls, het_ensemble, bench_graph):
-        """mu * max h >= 1 makes H (I - mu H)^-1 indefinite, though mu < 2 / max h."""
+    def test_indefinite_bias_pencil_takes_the_lu_route(self, calls, het_ensemble, bench_graph):
+        """mu * max h >= 1 makes H (I - mu H)^-1 indefinite, though mu < 2 / max h:
+        W0_eta keeps its pencils and the bias is one LU stack."""
         mu = 0.9
         assert 1.0 <= mu * het_ensemble.regressor_eigvals.max() < 2.0
         grid = np.concatenate([[0.0], np.geomspace(0.01, 1.0, 10)])
         sweep, counts = self._sweep(calls, het_ensemble, bench_graph, mu, grid)
-        assert counts == self._point_counts(grid)
+        assert counts == self._counts(mu, grid, het_ensemble.coupled_cov.shape[0])
         assert np.all(np.isfinite(sweep.msd_bar_curve))
+
+    @pytest.mark.filterwarnings("error")
+    def test_uncertified_solution_stack_raises_as_at_one_point(
+        self, calls, smooth_targets, bench_graph
+    ):
+        """A W0_eta stack the conditioning bound cannot certify keeps the stack
+        route at any grid size, so a numerically singular one raises
+        SingularSystem on a grid as at one point, not an overflow warning."""
+        ens = mt.uniform_profile(smooth_targets, sigma_u_sq=2.2e-308, sigma_v_sq=1.0)
+        grid = np.concatenate([[0.0], np.geomspace(0.25, 350.0, 40)])
+        with pytest.raises(mt.SingularSystem):
+            mt.theory_report(ens, bench_graph, 5e-3, grid[1])
+        calls.update(eigh=0, solve=[], check_stability=0)
+        with pytest.raises(mt.SingularSystem):
+            mt.optimize_eta(ens, bench_graph, 5e-3, grid)
+        # no pencil: the first eta's stack goes through _spd_solve's eigendecomposition
+        assert calls == {"eigh": 1, "solve": [(0.0, tuple(grid))], "check_stability": 41}
 
     def test_unstable_point_raises_before_any_eigh(self, calls, het_ensemble, bench_graph):
         grid = np.concatenate([[0.0], np.geomspace(0.25, 20.0, 10), [1e6]])
-        calls.update(dict.fromkeys(calls, 0))
+        calls.update(eigh=0, solve=[], check_stability=0)
         with pytest.raises(mt.UnstableConfiguration) as exc:
             mt.optimize_eta(het_ensemble, bench_graph, 1e-3, grid)
         assert "laplacian-spectrum" in exc.value.failed
-        assert calls == {"eigh": 0, "solve_regularized": 0, "check_stability": grid.size}
+        assert calls == {"eigh": 0, "solve": [], "check_stability": grid.size}
 
 
 class TestBiasSurface:
-    def test_unstable_pair_raises_before_any_solve(
-        self, monkeypatch, het_ensemble, bench_graph
-    ):
-        solved = []
-        solve = mt.theory.solve_regularized
-
-        def record(ens, g, eta):
-            solved.append(eta)
-            return solve(ens, g, eta)
-
-        monkeypatch.setattr(mt.theory, "solve_regularized", record)
+    def test_unstable_pair_raises_before_any_solve(self, monkeypatch, het_ensemble, bench_graph):
+        calls = _count_calls(monkeypatch, ("solve",))
         with pytest.raises(mt.UnstableConfiguration) as exc:
             mt.bias_surface(het_ensemble, bench_graph, [1e-3, 1e-4], [0.0, 1.0, 1e6])
         assert "laplacian-spectrum" in exc.value.failed
         assert "laplacian-spectrum" in str(exc.value)
-        assert solved == []
+        assert calls == {"solve": []}
+
+    @pytest.mark.parametrize("mus, etas", [([], [0.0]), ([1e-3], []), ([], [])])
+    def test_empty_grids_give_empty_surfaces(self, het_ensemble, bench_graph, mus, etas):
+        surface = mt.bias_surface(het_ensemble, bench_graph, mus, etas)
+        assert surface.shape == (len(etas), len(mus))
+
+    def test_large_eta_grid_takes_the_pencil_route(self, monkeypatch, smooth_targets, bench_graph):
+        """W0_eta is solved once for every eta, from one eigh per group, and
+        the bias once per mu, from one more eigh per group."""
+        ens = _diagonal_ensemble(smooth_targets)
+        groups = ens.coupled_cov.shape[0]
+        mus, etas = [1e-3, 1e-4, 1e-5], np.concatenate([[0.0], np.geomspace(1e-3, 1e-2, 9)])
+        calls = _count_calls(monkeypatch, ("eigh", "solve"))
+        surface = mt.bias_surface(ens, bench_graph, mus, etas)
+        assert calls == {
+            "eigh": groups * (1 + len(mus)),
+            "solve": [(0.0, tuple(etas))] + [(mu, tuple(etas)) for mu in mus],
+        }
+        monkeypatch.undo()
+        for (i, eta), (j, mu) in itertools.product(enumerate(etas), enumerate(mus)):
+            want = mt.theory_report(ens, bench_graph, mu, eta).bias_sq_norm
+            assert surface[i, j] == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def _entry_points(ens, g, mu, eta):
