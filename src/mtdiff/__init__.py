@@ -70,7 +70,7 @@ MODULE_VERSIONS = {
     "graphs": 2,
     "tasks": 2,
     "engine": 2,
-    "theory": 7,
+    "theory": 8,
 }
 
 __all__ = [

@@ -27,18 +27,19 @@ summed over the r copies: N * G solves of size s.
 One function, _solve, builds and solves both systems for a set of etas:
 W0_eta, and given it the bias at one mu.  theory_report, optimize_eta and
 bias_surface call it, and the engine reads theory_report.  Its inputs pick its
-route.  The W0_eta stack is certified well conditioned from the curvature
-spectrum and lambda_max(L), without a factorization.  With diagonal
-covariances, I - mu H > 0, at least GRID_ROUTE_ETAS positive etas and, for
-W0_eta, that certificate, one eigendecomposition of each group's
-symmetric-definite pencil serves every eta.  Otherwise each eta's groups form
-one stack of sN x sN systems with r right-hand sides each, solved one eta at a
-time so that memory does not grow with the grid: isotropic R_uk = sigma_k^2 I
-(every bundled config) give one N x N system, other diagonal R_uk M, and any
-other covariance one (NM) x (NM) system.  A certified W0_eta stack takes one LU
-solve; one the bound cannot certify is solved through a symmetric
-eigendecomposition, which raises SingularSystem when it is numerically
-singular.  The one real-number rule, check_real, admits a finite
+route.  Each stack is certified well conditioned from the curvature spectrum
+(and lambda_max(L) for W0_eta), without a factorization.  With at least
+GRID_ROUTE_ETAS positive etas, mu * max h <= 1/2 and that certificate,
+D = H_g (I - mu H_g)^-1 = C C' is factored node by node and one
+eigendecomposition of each group's whitened pencil C^-1 (I_s kron L) C^-T
+serves every eta, for every covariance profile.  Otherwise each eta's groups
+form one stack of sN x sN systems with r right-hand sides each, solved one eta
+at a time so that memory does not grow with the grid: isotropic
+R_uk = sigma_k^2 I (every bundled config) give one N x N system, other
+diagonal R_uk M, and any other covariance one (NM) x (NM) system.  A certified
+W0_eta stack takes one LU solve; one the bound cannot certify is solved through
+a symmetric eigendecomposition, which raises SingularSystem when it is
+numerically singular.  The one real-number rule, check_real, admits a finite
 mu > 0 and a finite eta >= 0 (Python or numpy reals but not bools, handed back
 as Python floats) and nothing else; each entry point and the engine's
 SimConfig check only the scalars they take.
@@ -181,7 +182,7 @@ def _certified(kappa: float, n: int) -> bool:
     return kappa * n * (n + 1) * _UNIT_ROUNDOFF <= 0.5
 
 
-def _spd_solve(mat: np.ndarray, rhs: np.ndarray, kappa: float = math.inf) -> np.ndarray:
+def _spd_solve(mat: np.ndarray, rhs: np.ndarray, kappa: float) -> np.ndarray:
     """Solve an SPD system, or a stack of them.
 
     mat has shape (..., n, n) and rhs (..., n, k); kappa bounds the 2-norm
@@ -216,9 +217,9 @@ def _lu_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 #: positive etas from which _solve takes its pencil route: one eigh of an
-#: N x N pencil costs about as much as 8 LU solves of the same size (measured
-#: eigh/LU ratios 8.1 at N=50 and N=150, 7.6 at N=400, 8.4 at N=1000, with
-#: one BLAS thread), and the LU route pays one solve per eta
+#: sN x sN pencil costs about as much as 8 LU solves of the same size (eigh/LU
+#: 8.1 at sN=50 and 150, 7.6 at 400, 8.4 at 1000, 6.4-7 at 750 with full
+#: covariances, one BLAS thread), and the LU route pays one solve per eta
 GRID_ROUTE_ETAS = 8
 
 
@@ -247,51 +248,49 @@ def _solve(
             out[pos] = _solve(ensemble, g, etas[pos], mu, solutions[pos] if mu else None)
         return out
     e, top = len(etas), max(values)
+    curv = ensemble.regressor_eigvals
+    r_min, r_max = float(curv.min()), float(curv.max())
+    step = np.eye(s)[:, :, None] - mu * cov  # I - mu H_g, I for W0_eta
     if mu:  # the bias, at etas whose W0_eta is already solved
-        step = np.eye(s)[:, :, None] - mu * cov
         # squared by libm's pow, as a Python float is: numpy's square can differ
         rhs = np.float_power(mu * etas, 2)[:, None, None] * (lap @ (lap @ solutions))
         rhs = rhs.reshape(e, n, groups, s, -1).transpose(0, 2, 3, 1, 4)
+        tops = [2.0 * r_max]  # D below has its spectrum in [r_min, 2 r_max] if mu r_max <= 1/2
     else:
         if not math.isfinite(top * g.lambda_max):
             raise SingularSystem(f"eta * lambda_max(L) overflows at eta={top!r}")
-        curv = ensemble.regressor_eigvals
-        r_min, r_max = float(curv.min()), float(curv.max())
         # Weyl: L is PSD and the spectrum of H_g lies in [r_min, r_max]
-        kappas = [(eta * g.lambda_max + r_max) / r_min if r_min > 0.0 else math.inf
-                  for eta in values]
+        tops = [eta * g.lambda_max + r_max for eta in values]
         w0 = ensemble.targets.blocks.reshape(n, groups, s, -1)  # [a, g, l, c]
         rhs = np.einsum("gkla,aglc->gkac", cov, w0)[None]
-    pencil = s == 1 and e >= GRID_ROUTE_ETAS and mu * ensemble.regressor_eigvals.max() < 1.0
-    # an uncertified W0_eta stack takes _spd_solve's singularity check, as at one eta
-    if pencil and (mu or _certified(max(kappas), n)):
-        # per group c (eta L + D)(I - mu H_g) x = rhs with D = H_g (I - mu H_g)^-1, from
-        # one eigh of D^-1/2 L D^-1/2 = Q diag(theta) Q' for every eta
-        st = step[:, 0, 0, :, None, None] if mu else 1.0  # I - mu H_g as (G, N, 1, 1)
+    kappas = [t / r_min if r_min > 0.0 else math.inf for t in tops]
+    c = mu or 1.0
+    # as at one eta, an uncertified W0_eta stack takes _spd_solve's singularity check
+    if e >= GRID_ROUTE_ETAS and mu * r_max <= 0.5 and _certified(max(kappas), s * n):
+        # per group c (eta I_s kron L + D)(I - mu H_g) x = rhs with D = H_g (I - mu H_g)^-1
+        # = C C' node by node, from one eigh of C^-1 (I_s kron L) C^-T = Q diag(theta) Q'
+        step, cov = step.transpose(0, 3, 1, 2), cov.transpose(0, 3, 1, 2)  # (G, N, s, s)
         with np.errstate(all="ignore"):  # a non-finite result is reported below
-            root = np.sqrt(cov[:, 0, 0, :, None, None] / st)
             try:
-                theta, q = np.linalg.eigh(lap / root[..., 0] / root[:, None, :, 0, 0])
-            except np.linalg.LinAlgError:  # a pencil overflows
-                raise SingularSystem("a pencil D^-1/2 L D^-1/2 cannot be decomposed") from None
-            y = rhs[:, :, 0].transpose(1, 2, 0, 3) / root  # (G, N, E or 1, r)
-            y = (np.swapaxes(q, 1, 2) @ y.reshape(groups, n, -1)).reshape(y.shape)
+                w = np.linalg.inv(np.linalg.cholesky(np.linalg.solve(step, cov)))  # C^-1
+                pencils = np.einsum("gakj,ab,gblj->gakbl", w, lap, w).reshape(groups, n * s, -1)
+                theta, q = np.linalg.eigh(pencils)
+            except np.linalg.LinAlgError:  # a factor or a pencil overflows
+                raise SingularSystem("a whitened pencil cannot be decomposed") from None
+            y = np.einsum("gakl,eglac->gakec", w, rhs)  # (G, N, s, E or 1, r)
+            y = (np.swapaxes(q, 1, 2) @ y.reshape(groups, n * s, -1)).reshape(y.shape)
             # L is PSD, so theta >= 0 up to rounding and every eta * theta + 1 >= 1
-            y = y / (np.maximum(theta, 0.0)[:, :, None, None] * etas[:, None] + 1.0)
-            x = (q @ y.reshape(groups, n, -1)).reshape(y.shape) / root / ((mu or 1.0) * st)
+            y = y / (np.maximum(theta, 0.0).reshape(groups, n, s, 1, 1) * etas[:, None] + 1.0)
+            y = (q @ y.reshape(groups, n * s, -1)).reshape(y.shape)
+            back = np.linalg.solve(step, np.swapaxes(w, 2, 3))  # (I - mu H_g)^-1 C^-T
+            x = np.einsum("gakl,galec->eagkc", back, y) / c
         if not np.all(np.isfinite(x)):
             raise SingularSystem("a pencil solution is not finite")
-        return x.transpose(2, 1, 0, 3).reshape(e, n, m)
+        return x.reshape(e, n, m)
     out = np.empty((e, n, m))
     for i, eta in enumerate(values):  # one (G, sN, sN) stack in memory at a time
-        if mu:
-            mats = (mu * eta) * lap[:, None, :] * step[:, :, None]
-            np.einsum("gkala->gkla", mats)[...] += mu * cov
-        else:  # only the diagonal blocks are nonzero
-            mats = np.zeros((groups, s, n, s, n))
-            # einsum with a repeated index returns a writable view of that diagonal
-            np.einsum("gkakb->gkab", mats)[...] = eta * lap
-            np.einsum("gkala->gkla", mats)[...] += cov
+        mats = (c * eta) * lap[:, None, :] * step[:, :, None]
+        np.einsum("gkala->gkla", mats)[...] += c * cov  # einsum gives a writable diagonal view
         mats = mats.reshape(groups, s * n, s * n)
         b = rhs[i if mu else 0].reshape(groups, s * n, -1)  # W0_eta's is the same at every eta
         x = _lu_solve(mats, b) if mu else _spd_solve(mats, b, kappas[i])
@@ -360,7 +359,7 @@ def _noise_blocks(ensemble: TaskEnsemble, solutions: np.ndarray) -> np.ndarray:
     groups, s = cov.shape[:2]
     r = ensemble.dim // (groups * s)
     delta = ensemble.targets.blocks - solutions
-    with np.errstate(over="ignore"):  # an overflow is reported below
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
         r_delta = np.einsum("kij,...kj->...ki", ensemble.regressor_cov, delta)
         scale = np.einsum("...ki,...ki->...k", delta, r_delta) + ensemble.noise_var
         r_delta = r_delta.reshape(*delta.shape[:-1], groups, s, r)

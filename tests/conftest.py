@@ -13,6 +13,7 @@ settings.register_profile(
     "suite",
     deadline=None,
     max_examples=50,
+    print_blob=True,  # a failure prints its @reproduce_failure blob; draws stay random
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")

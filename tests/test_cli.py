@@ -11,13 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import mtdiff as mt
 from mtdiff import config
 from mtdiff.cli import _slug, main
 from mtdiff.config import build_ensemble, build_graph, load_config
+from mtdiff.theory import GRID_ROUTE_ETAS
 
 from test_theory import _count_calls, _entry_points
 
@@ -783,3 +784,92 @@ class TestLibraryFuzz:
                 else:
                     assert _all_finite(result.eta_star, result.msd_bar_curve)
                     assert all(_report_ok(r) for r in result.reports)
+
+
+def _route_problem(profile, scale, seed):
+    """The unit 5-node ring with M = 2 and isotropic, diagonal or full
+    covariances whose eigenvalues lie in scale * [0.5, 2]."""
+    g = RING_PROBLEMS[1][1]
+    rng = np.random.default_rng(seed)
+    eigs = scale * rng.uniform(0.5, 2.0, (5, 2))
+    if profile == "isotropic":
+        eigs[:, 1] = eigs[:, 0]
+    rot = np.linalg.qr(rng.standard_normal((5, 2, 2)))[0] if profile == "full" else np.eye(2)
+    covs = rot * eigs[:, None, :] @ np.swapaxes(rot, -1, -2)
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    targets = mt.make_smooth_target(g, [2.0, 3.0], 2)
+    return mt.TaskEnsemble(targets, covs, rng.uniform(0.05, 0.15, 5)), g
+
+
+def _outcome(call):
+    """call()'s result, or the MtdiffError it raised, with RuntimeWarnings as errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return call()
+        except mt.MtdiffError as exc:
+            return exc
+
+
+class TestRouteAgreement:
+    """optimize_eta over 0 and at least GRID_ROUTE_ETAS positive etas, which
+    may take the pencil route, against per-point theory_report, which takes
+    the LU route, on the unit ring with isotropic, diagonal or full
+    covariances of any scale: the grid raises UnstableConfiguration when any
+    point does (it checks every point first) and otherwise the per-point
+    error's type, and neither route warns.  On well-scaled draws
+    (covariance eigenvalues in [1e-2, 1e2], certificate kappa <= 1e2 and
+    mu * max h <= 0.5) the values agree within TestGridRoute's tolerances,
+    except that the bias cross term, an inner product with the cancelling
+    difference targets - W0_eta, is held to 1e-12 of msd_bar, the deviation
+    it is a term of: at etas far below the combine-step bound it is a
+    rounding residue that no two routes share to 1e-12 of itself.  Two
+    backward-stable routes differ by about kappa times the unit roundoff, so
+    the value check stops at kappa = 1e2: near 1e3 msd_bar differs by up to
+    about 3e-12 between them."""
+
+    @settings(max_examples=150)
+    @given(
+        profile=st.sampled_from(["isotropic", "diagonal", "full"]),
+        seed=st.integers(0, 2**32 - 1),
+        scale_exp=st.one_of(st.floats(-1.5, 1.5), st.floats(-300.0, 300.0)),
+        mu_exp=st.floats(-2.0, 0.4),
+        eta_exps=st.lists(  # in tenths of a decade
+            st.integers(-80, 1),
+            min_size=GRID_ROUTE_ETAS,
+            max_size=GRID_ROUTE_ETAS + 4,
+            unique=True,
+        ),
+    )
+    def test_grid_matches_points(self, profile, seed, scale_exp, mu_exp, eta_exps):
+        ens, g = _route_problem(profile, 10.0**scale_exp, seed)
+        curv = ens.regressor_eigvals
+        mu = 10.0**mu_exp / curv.max()  # unstable from 10**mu_exp = 2 on
+        bound = min(2.0 / g.lambda_max, 1.0 / g.max_degree) / mu
+        grid = np.unique([0.0] + [10.0 ** (x / 10) * bound for x in eta_exps])  # x > 0: unstable
+        assume(grid.size > GRID_ROUTE_ETAS)
+        points = [_outcome(lambda: mt.theory_report(ens, g, mu, eta)) for eta in grid]
+        sweep = _outcome(lambda: mt.optimize_eta(ens, g, mu, grid))
+        errors = {type(p) for p in points if isinstance(p, mt.MtdiffError)}
+        if mt.UnstableConfiguration in errors:
+            assert isinstance(sweep, mt.UnstableConfiguration)
+            return
+        if errors:
+            assert type(sweep) in errors
+            return
+        assert not isinstance(sweep, mt.MtdiffError), sweep
+        kappa = (grid[-1] * g.lambda_max + curv.max()) / curv.min()
+        if not (1e-2 <= curv.min() and curv.max() <= 1e2 and kappa <= 1e2
+                and mu * curv.max() <= 0.5):
+            return
+        for got, want in zip(sweep.reports, points):
+            for name in ("msd_bar", "msd_total"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0)
+            assert abs(got.bias_cross_term - want.bias_cross_term) <= 1e-12 * want.msd_bar
+            terms = want.msd_per_frequency
+            assert got.msd_per_frequency == pytest.approx(terms, rel=1e-12, abs=0.0)
+            for a, b in [
+                (got.solution.values, want.solution.values),
+                (got.bias_vector, want.bias_vector),
+            ]:
+                assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))

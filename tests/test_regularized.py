@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -240,7 +242,7 @@ class TestSpdSolve:
         rng = np.random.default_rng(0)
         mats = np.stack([make_random_spd(rng, 4) for _ in range(3)])
         rhs = rng.standard_normal((3, 4, 2))
-        got = mt.theory._spd_solve(mats, rhs)
+        got = mt.theory._spd_solve(mats, rhs, math.inf)
         for a, b, x in zip(mats, rhs, got):
             assert np.max(np.abs(a @ x - b)) < 1e-12
 
@@ -258,7 +260,7 @@ class TestSpdSolve:
         odd = np.array([[1.0, -0.9], [1.5, 1.0]])
         mats = np.stack([np.eye(2), odd])
         rhs = np.ones((2, 2, 1))
-        got = mt.theory._spd_solve(mats, rhs)
+        got = mt.theory._spd_solve(mats, rhs, math.inf)
         sym = 0.5 * (odd + odd.T)
         assert np.max(np.abs(sym @ got[1] - rhs[1])) < 1e-12
         assert np.allclose(got[0], rhs[0], rtol=0.0, atol=1e-15)
@@ -266,7 +268,7 @@ class TestSpdSolve:
     def test_singular_member_of_stack_raises(self):
         mats = np.stack([np.eye(2), np.ones((2, 2))])
         with pytest.raises(mt.SingularSystem):
-            mt.theory._spd_solve(mats, np.ones((2, 2, 1)))
+            mt.theory._spd_solve(mats, np.ones((2, 2, 1)), math.inf)
 
 
 class TestSingularSystems:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import mtdiff as mt
 from mtdiff import cli
-from mtdiff.theory import GRID_ROUTE_ETAS, _noise_blocks
+from mtdiff.theory import GRID_ROUTE_ETAS, _certified, _noise_blocks
 
 from helpers import (
     dense_frequency_msd,
@@ -80,6 +80,16 @@ class TestNoiseCovariance:
         for block in got.reshape(-1, *got.shape[2:]):
             assert np.allclose(block, block.T, atol=1e-14)
             assert np.linalg.eigvalsh(block).min() > 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_cancelling_overflow_raises_singular_system(self):
+        """Noise blocks whose overflowing terms cancel to inf - inf raise
+        SingularSystem, not an invalid-value warning."""
+        g = mt.build_graph(np.roll(np.eye(5), 1, axis=1) + np.roll(np.eye(5), -1, axis=1))
+        covs = np.tile(np.array([[2.0, -1.0], [-1.0, 2.0]]) * 1e300, (5, 1, 1))
+        ens = mt.TaskEnsemble(mt.make_smooth_target(g, [2.0, 3.0], 2), covs, np.full(5, 0.1))
+        with pytest.raises(mt.SingularSystem, match="gradient-noise covariance overflows"):
+            mt.theory_report(ens, g, 1e-305, 1e300)
 
 
 class TestPredictors:
@@ -282,6 +292,14 @@ def _diagonal_ensemble(targets, seed=3):
     return mt.TaskEnsemble(targets, covs, rng.uniform(0.05, 0.15, n))
 
 
+def _full_ensemble(targets, seed=8):
+    """Full SPD covariances with eigenvalues in [0.8, 1.2]: one group of M."""
+    rng = np.random.default_rng(seed)
+    n, m = targets.n_agents, targets.block_dim
+    covs = np.stack([make_random_spd(rng, m, eig_range=(0.8, 1.2)) for _ in range(n)])
+    return mt.TaskEnsemble(targets, covs, rng.uniform(0.05, 0.15, n))
+
+
 def _varying150():
     """The benchmark's theory shape: the varying profile on a 150-node graph,
     with 0 and 15 geometric etas up to half the combine-step bound."""
@@ -293,11 +311,11 @@ def _varying150():
 
 class TestGridRoute:
     """The shared solve takes its pencil route, one eigendecomposition per
-    coupled group and pencil for every eta, at GRID_ROUTE_ETAS positive etas
-    or more when the covariances are diagonal, mu * max h < 1 (W0_eta has
-    mu = 0) and, for W0_eta, the stack is certified well conditioned;
-    otherwise each eta is one stack of LU solves.  optimize_eta checks every
-    point, then solves W0_eta and the bias once for the grid."""
+    coupled group and pencil for every eta, for every covariance profile, at
+    GRID_ROUTE_ETAS positive etas or more when mu * max h <= 1/2 (W0_eta has
+    mu = 0) and the sN x sN stack is certified well conditioned; otherwise
+    each eta is one stack of LU solves.  optimize_eta checks every point,
+    then solves W0_eta and the bias once for the grid."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -311,13 +329,17 @@ class TestGridRoute:
     def _counts(self, mu, grid, eigh):
         return {"eigh": eigh, "solve": _solves(mu, grid), "check_stability": grid.size}
 
-    @pytest.mark.parametrize("case", ["criterion-4", "varying-150", "diagonal"])
+    @pytest.mark.parametrize("case", ["criterion-4", "varying-150", "diagonal", "full"])
     def test_matches_per_point_reports(self, calls, smooth_targets, bench_graph, case):
         if case == "criterion-4":
             ens = mt.uniform_profile(smooth_targets, sigma_u_sq=1.0, sigma_v_sq=1.0)
             g, mu, grid = bench_graph, 5e-3, np.concatenate([[0.0], np.geomspace(0.25, 350.0, 40)])
         elif case == "varying-150":
             ens, g, mu, grid = _varying150()
+        elif case == "full":
+            ens, g, mu = _full_ensemble(smooth_targets), bench_graph, 1e-3
+            grid = np.concatenate([[0.0], np.geomspace(0.25, 20.0, 10)])
+            assert ens.coupled_cov.shape[:2] == (1, 5)
         else:
             ens, g, mu = _diagonal_ensemble(smooth_targets), bench_graph, 1e-3
             grid = np.concatenate([[0.0], np.geomspace(0.25, 100.0, 12)])
@@ -346,13 +368,24 @@ class TestGridRoute:
         eigh = 2 * het_ensemble.coupled_cov.shape[0] if positive >= GRID_ROUTE_ETAS else 0
         assert counts == self._counts(1e-3, grid, eigh)
 
-    def test_full_covariances_take_the_lu_route(self, calls, smooth_targets, bench_graph):
-        rng = np.random.default_rng(8)
-        covs = np.stack([make_random_spd(rng, 5, eig_range=(0.8, 1.2)) for _ in range(15)])
-        ens = mt.TaskEnsemble(smooth_targets, covs, rng.uniform(0.05, 0.15, 15))
-        grid = np.concatenate([[0.0], np.geomspace(0.25, 20.0, 10)])
-        _, counts = self._sweep(calls, ens, bench_graph, 1e-3, grid)
-        assert counts == self._counts(1e-3, grid, 0)
+    def test_solution_certificate_counts_the_system_size(self, calls, smooth_targets, bench_graph):
+        """Full covariances solve sN x sN systems, so W0_eta keeps its per-eta
+        stacks when the conditioning bound certifies N x N systems but not
+        sN x sN ones, while the bias, whose bound 2 max h / min h is
+        certified, takes its pencil."""
+        n, s = 15, 5
+        grid = np.concatenate([[0.0], np.geomspace(10.0, 100.0, GRID_ROUTE_ETAS)])
+        covs = np.array(_full_ensemble(smooth_targets).regressor_cov)
+        tiny = (grid[-1] * bench_graph.lambda_max + 1.2) / 1.5e13
+        covs[0] += (tiny - np.linalg.eigvalsh(covs[0])[0]) * np.eye(s)
+        ens = mt.TaskEnsemble(smooth_targets, covs, np.full(n, 0.1))
+        r_min, r_max = ens.regressor_eigvals.min(), ens.regressor_eigvals.max()
+        kappas = (grid[1:] * bench_graph.lambda_max + r_max) / r_min
+        assert _certified(kappas.max(), n) and not _certified(kappas.min(), s * n)
+        assert _certified(2.0 * r_max / r_min, s * n)
+        sweep, counts = self._sweep(calls, ens, bench_graph, 1e-3, grid)
+        assert counts == self._counts(1e-3, grid, GRID_ROUTE_ETAS + 1)
+        assert np.all(np.isfinite(sweep.msd_bar_curve))
 
     def test_indefinite_bias_pencil_takes_the_lu_route(self, calls, het_ensemble, bench_graph):
         """mu * max h >= 1 makes H (I - mu H)^-1 indefinite, though mu < 2 / max h:
@@ -362,6 +395,28 @@ class TestGridRoute:
         grid = np.concatenate([[0.0], np.geomspace(0.01, 1.0, 10)])
         sweep, counts = self._sweep(calls, het_ensemble, bench_graph, mu, grid)
         assert counts == self._counts(mu, grid, het_ensemble.coupled_cov.shape[0])
+        assert np.all(np.isfinite(sweep.msd_bar_curve))
+
+    @pytest.mark.parametrize("case", ["margin", "certificate"])
+    def test_bias_pencil_needs_a_margin_and_a_certificate(
+        self, calls, smooth_targets, bench_graph, case
+    ):
+        """The bias takes its LU route when mu * max h > 1/2, though
+        H (I - mu H)^-1 is still SPD, or when its bound 2 max h / min h is not
+        certified: the pencil's Cholesky factors could then fail where the
+        per-point LU solve does not."""
+        grid = np.concatenate([[0.0], np.geomspace(0.01, 1.0, 10)])
+        if case == "margin":  # W0_eta takes its one pencil
+            ens, eigh = mt.varying_profile(smooth_targets, seed=7), 1
+            mu = 0.75 / ens.regressor_eigvals.max()
+        else:  # W0_eta is not certified either: one eigh per eta in _spd_solve
+            covs = np.array(_full_ensemble(smooth_targets).regressor_cov)
+            covs[0] += (1e-16 - np.linalg.eigvalsh(covs[0])[0]) * np.eye(5)
+            ens = mt.TaskEnsemble(smooth_targets, covs, np.full(15, 0.1))
+            eigh, mu, curv = grid.size - 1, 1e-3, ens.regressor_eigvals
+            assert not _certified(2.0 * curv.max() / curv.min(), 5)
+        sweep, counts = self._sweep(calls, ens, bench_graph, mu, grid)
+        assert counts == self._counts(mu, grid, eigh)
         assert np.all(np.isfinite(sweep.msd_bar_curve))
 
     @pytest.mark.filterwarnings("error")
