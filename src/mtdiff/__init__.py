@@ -70,7 +70,7 @@ MODULE_VERSIONS = {
     "graphs": 2,
     "tasks": 2,
     "engine": 2,
-    "theory": 8,
+    "theory": 9,
 }
 
 __all__ = [

@@ -11,7 +11,8 @@ Value grammar
 * strings: taken verbatim (no quoting)
 * float lists: comma-separated items, where each item is either a literal
   or a range shorthand ``lin:start:stop:count`` / ``log:start:stop:count``
-  (both endpoints included); items concatenate, e.g. ``0, log:1e-3:1e-2:9``.
+  (both endpoints included, count >= 2); items concatenate, e.g.
+  ``0, log:1e-3:1e-2:9``, into at most MAX_POINTS values.
 
 Example
 -------
@@ -45,6 +46,12 @@ from .tasks import (
 )
 
 
+#: the most values a float list may expand to and filter.lambda_points may ask
+#: for, far above every bundled grid, so that an absurd count is refused, not
+#: allocated
+MAX_POINTS = 10**6
+
+
 def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
     if low in ("true", "yes", "1"):
@@ -66,8 +73,10 @@ def _parse_float_list(raw: str) -> tuple[float, ...]:
                 raise ValueError(f"range shorthand needs start:stop:count: {item!r}")
             start, stop = float(parts[0]), float(parts[1])
             count = int(parts[2])
-            if count < 2:
-                raise ValueError(f"range count must be >= 2: {item!r}")
+            if not 2 <= count <= MAX_POINTS - len(values):
+                raise ValueError(
+                    f"range count must be >= 2 and the list at most {MAX_POINTS} long: {item!r}"
+                )
             if kind == "lin":
                 values.extend(np.linspace(start, stop, count).tolist())
             else:
@@ -275,10 +284,10 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     bad = set(o.formats) - {"csv", "svg"}
     if bad:
         raise ConfigError(f"output.formats may only contain csv, svg: {sorted(bad)}")
-    if not (math.isfinite(flt.lambda_max) and flt.lambda_max > 0.0) or flt.lambda_points < 2:
-        raise ConfigError(
-            "filter.lambda_max must be finite and > 0, filter.lambda_points >= 2"
-        )
+    if not (math.isfinite(flt.lambda_max) and flt.lambda_max > 0.0):
+        raise ConfigError("filter.lambda_max must be finite and > 0")
+    if not 2 <= flt.lambda_points <= MAX_POINTS:
+        raise ConfigError(f"filter.lambda_points must lie in [2, {MAX_POINTS}]")
     return cfg
 
 

@@ -24,25 +24,26 @@ its covariances.  The curvature at each frequency is block-diagonal over the
 groups, so its trace needs only the matching (s, s) blocks of the noise,
 summed over the r copies: N * G solves of size s.
 
-One function, _solve, builds and solves both systems for a set of etas:
-W0_eta, and given it the bias at one mu.  theory_report, optimize_eta and
-bias_surface call it, and the engine reads theory_report.  Its inputs pick its
-route.  Each stack is certified well conditioned from the curvature spectrum
-(and lambda_max(L) for W0_eta), without a factorization.  With at least
-GRID_ROUTE_ETAS positive etas, mu * max h <= 1/2 and that certificate,
-D = H_g (I - mu H_g)^-1 = C C' is factored node by node and one
-eigendecomposition of each group's whitened pencil C^-1 (I_s kron L) C^-T
-serves every eta, for every covariance profile.  Otherwise each eta's groups
-form one stack of sN x sN systems with r right-hand sides each, solved one eta
-at a time so that memory does not grow with the grid: isotropic
-R_uk = sigma_k^2 I (every bundled config) give one N x N system, other
-diagonal R_uk M, and any other covariance one (NM) x (NM) system.  A certified
-W0_eta stack takes one LU solve; one the bound cannot certify is solved through
-a symmetric eigendecomposition, which raises SingularSystem when it is
-numerically singular.  The one real-number rule, check_real, admits a finite
-mu > 0 and a finite eta >= 0 (Python or numpy reals but not bools, handed back
-as Python floats) and nothing else; each entry point and the engine's
-SimConfig check only the scalars they take.
+One function, _solve, builds and solves both systems for a set of etas: the
+mismatch W0 - W0_eta, from (H + eta * (L kron I)) d = eta * (L kron I) W0 so
+that no caller subtracts two nearly equal vectors at small eta, and given it
+the bias at one mu.  theory_report, optimize_eta and bias_surface call it, and
+the engine reads theory_report.  Its inputs pick its route.  Each stack is
+certified well conditioned from the curvature spectrum (and lambda_max(L) for
+the mismatch), without a factorization.  With at least GRID_ROUTE_ETAS positive
+etas, mu * max h <= 1/2 and that certificate, D = H_g (I - mu H_g)^-1 = C C' is
+factored node by node and one eigendecomposition of each group's whitened
+pencil C^-1 (I_s kron L) C^-T serves every eta, for every covariance profile.
+Otherwise each eta's groups form one stack of sN x sN systems with r right-hand
+sides each, solved one eta at a time so that memory does not grow with the
+grid: isotropic R_uk = sigma_k^2 I (every bundled config) give one N x N
+system, other diagonal R_uk M, and any other covariance one (NM) x (NM) system.
+A certified mismatch stack takes one LU solve; one the bound cannot certify is
+solved through a symmetric eigendecomposition, which raises SingularSystem when
+it is numerically singular.  The one real-number rule, check_real, admits a
+finite mu > 0 and a finite eta >= 0 (Python or numpy reals but not bools,
+handed back as Python floats) and nothing else; each entry point and the
+engine's SimConfig check only the scalars they take.
 """
 
 from __future__ import annotations
@@ -224,48 +225,49 @@ GRID_ROUTE_ETAS = 8
 
 
 def _solve(
-    ensemble: TaskEnsemble, g: Graph, etas: np.ndarray, mu: float = 0.0, solutions=None
+    ensemble: TaskEnsemble, g: Graph, etas: np.ndarray, mu: float = 0.0, mismatches=None
 ) -> np.ndarray:
-    """W0_eta at every eta of etas (E,) when mu = 0; otherwise, given those
-    W0_eta as solutions, the steady-state mean offset E[W0_eta - W_inf] of the
-    adaptive recursion at each admissible (mu, eta).  Both come back as
-    (E, N, M) blocks in node order, the targets and a zero offset at eta = 0.
+    """The mismatch W0 - W0_eta at every eta of etas (E,) when mu = 0;
+    otherwise, given those mismatches, the steady-state mean offset
+    E[W0_eta - W_inf] of the adaptive recursion at each admissible (mu, eta).
+    Both come back as (E, N, M) blocks in node order, zero at eta = 0.
 
     Each coupled group g solves (c eta (I_s kron L)(I - mu H_g) + c H_g) x_g =
-    rhs_g: W0_eta with c = 1 and rhs = H W0, and the offset, the fixed point of
-    the noise-free error recursion, with c = mu and rhs = mu^2 eta^2
-    (L kron I)^2 W0_eta, its matrix formed so rather than as I - (I - mu eta
-    L kron I)(I - mu H).  The route is the module docstring's.  SingularSystem
-    when eta * lambda_max(L) overflows or a solution is not finite.
+    rhs_g: the mismatch with c = 1 and rhs = eta (L kron I) W0, and the offset,
+    the fixed point of the noise-free error recursion, with c = mu and rhs =
+    mu^2 eta^2 (L kron I)^2 W0_eta, its matrix formed so rather than as
+    I - (I - mu eta L kron I)(I - mu H).  The route is the module docstring's.
+    SingularSystem when eta * lambda_max(L) or the mismatch's right-hand side
+    overflows, or when a solution is not finite.
     """
     n, m, lap, cov = ensemble.n_agents, ensemble.dim, g.laplacian, ensemble.coupled_cov
     groups, s, values = *cov.shape[:2], etas.tolist()
-    if not values or 0.0 in values:  # eta = 0 gives the targets and a zero offset unsolved
-        fill = np.zeros((n, m)) if mu else ensemble.targets.blocks
-        out = np.repeat(fill[None], len(etas), axis=0)
+    if not values or 0.0 in values:  # eta = 0 gives a zero mismatch and offset unsolved
+        out = np.zeros((len(etas), n, m))
         pos = np.flatnonzero(etas)
         if len(pos):
-            out[pos] = _solve(ensemble, g, etas[pos], mu, solutions[pos] if mu else None)
+            out[pos] = _solve(ensemble, g, etas[pos], mu, mismatches[pos] if mu else None)
         return out
     e, top = len(etas), max(values)
     curv = ensemble.regressor_eigvals
     r_min, r_max = float(curv.min()), float(curv.max())
-    step = np.eye(s)[:, :, None] - mu * cov  # I - mu H_g, I for W0_eta
-    if mu:  # the bias, at etas whose W0_eta is already solved
+    step = np.eye(s)[:, :, None] - mu * cov  # I - mu H_g, I for the mismatch
+    if mu:  # the bias, at etas whose mismatch is already solved
+        w0_eta = ensemble.targets.blocks - mismatches
         # squared by libm's pow, as a Python float is: numpy's square can differ
-        rhs = np.float_power(mu * etas, 2)[:, None, None] * (lap @ (lap @ solutions))
-        rhs = rhs.reshape(e, n, groups, s, -1).transpose(0, 2, 3, 1, 4)
+        rhs = np.float_power(mu * etas, 2)[:, None, None] * (lap @ (lap @ w0_eta))
         tops = [2.0 * r_max]  # D below has its spectrum in [r_min, 2 r_max] if mu r_max <= 1/2
     else:
-        if not math.isfinite(top * g.lambda_max):
-            raise SingularSystem(f"eta * lambda_max(L) overflows at eta={top!r}")
+        with np.errstate(all="ignore"):  # reported below
+            rhs = etas[:, None, None] * (lap @ ensemble.targets.blocks)
+        if not (math.isfinite(top * g.lambda_max) and np.all(np.isfinite(rhs))):
+            raise SingularSystem(f"eta * lambda_max(L) or eta * L W0 overflows at eta={top!r}")
         # Weyl: L is PSD and the spectrum of H_g lies in [r_min, r_max]
         tops = [eta * g.lambda_max + r_max for eta in values]
-        w0 = ensemble.targets.blocks.reshape(n, groups, s, -1)  # [a, g, l, c]
-        rhs = np.einsum("gkla,aglc->gkac", cov, w0)[None]
+    rhs = rhs.reshape(e, n, groups, s, -1).transpose(0, 2, 3, 1, 4)  # [e, g, l, a, c]
     kappas = [t / r_min if r_min > 0.0 else math.inf for t in tops]
     c = mu or 1.0
-    # as at one eta, an uncertified W0_eta stack takes _spd_solve's singularity check
+    # as at one eta, an uncertified mismatch stack takes _spd_solve's singularity check
     if e >= GRID_ROUTE_ETAS and mu * r_max <= 0.5 and _certified(max(kappas), s * n):
         # per group c (eta I_s kron L + D)(I - mu H_g) x = rhs with D = H_g (I - mu H_g)^-1
         # = C C' node by node, from one eigh of C^-1 (I_s kron L) C^-T = Q diag(theta) Q'
@@ -277,7 +279,7 @@ def _solve(
                 theta, q = np.linalg.eigh(pencils)
             except np.linalg.LinAlgError:  # a factor or a pencil overflows
                 raise SingularSystem("a whitened pencil cannot be decomposed") from None
-            y = np.einsum("gakl,eglac->gakec", w, rhs)  # (G, N, s, E or 1, r)
+            y = np.einsum("gakl,eglac->gakec", w, rhs)  # (G, N, s, E, r)
             y = (np.swapaxes(q, 1, 2) @ y.reshape(groups, n * s, -1)).reshape(y.shape)
             # L is PSD, so theta >= 0 up to rounding and every eta * theta + 1 >= 1
             y = y / (np.maximum(theta, 0.0).reshape(groups, n, s, 1, 1) * etas[:, None] + 1.0)
@@ -292,16 +294,15 @@ def _solve(
         mats = (c * eta) * lap[:, None, :] * step[:, :, None]
         np.einsum("gkala->gkla", mats)[...] += c * cov  # einsum gives a writable diagonal view
         mats = mats.reshape(groups, s * n, s * n)
-        b = rhs[i if mu else 0].reshape(groups, s * n, -1)  # W0_eta's is the same at every eta
+        b = rhs[i].reshape(groups, s * n, -1)
         x = _lu_solve(mats, b) if mu else _spd_solve(mats, b, kappas[i])
         out[i] = x.reshape(groups, s, n, -1).transpose(2, 0, 1, 3).reshape(n, m)
     return out
 
 
-def _regularized(ensemble: TaskEnsemble, eta: float, blocks: np.ndarray) -> RegularizedSolution:
-    sol = StackedSignal.from_blocks(blocks)
-    mismatch = sol.values - ensemble.targets.values
-    return RegularizedSolution(eta=eta, solution=sol, mismatch_sq=float(mismatch @ mismatch))
+def _regularized(ensemble: TaskEnsemble, eta: float, delta: np.ndarray) -> RegularizedSolution:
+    sol = StackedSignal.from_blocks(ensemble.targets.blocks - delta)
+    return RegularizedSolution(eta=eta, solution=sol, mismatch_sq=float(np.vdot(delta, delta)))
 
 
 def solve_regularized(ensemble: TaskEnsemble, g: Graph, eta: float) -> RegularizedSolution:
@@ -343,22 +344,20 @@ class TheoryReport:
     bias_sq_norm: float
 
 
-def _noise_blocks(ensemble: TaskEnsemble, solutions: np.ndarray) -> np.ndarray:
+def _noise_blocks(ensemble: TaskEnsemble, delta: np.ndarray) -> np.ndarray:
     """Limiting gradient-noise covariance of every node as (..., N, G, s, s)
-    blocks, from W0_eta as (..., N, M) blocks: each coupled group's (s, s)
-    diagonal block, summed over its r copies (for full covariances [k, 0] is
-    node k's whole M x M covariance).
+    blocks, from the mismatch W0 - W0_eta as (..., N, M) blocks: each coupled
+    group's (s, s) diagonal block, summed over its r copies (for full
+    covariances [k, 0] is node k's whole M x M covariance).
 
     For Gaussian regressors node k's covariance is R W R + R * Tr(R W) +
-    sigma_v^2 R, where W = d d' for the node's regularized-vs-own-target
-    mismatch d, so R W R = (R d)(R d)' and Tr(R W) = d' R d.  At eta = 0 the
-    mismatch vanishes and only the sigma_v^2 R floor remains.  SingularSystem
-    when a covariance overflows.
+    sigma_v^2 R, where W = d d' for the node's mismatch d, so R W R =
+    (R d)(R d)' and Tr(R W) = d' R d.  At eta = 0 d = 0 and only the
+    sigma_v^2 R floor remains.  SingularSystem when a covariance overflows.
     """
     cov = ensemble.coupled_cov
     groups, s = cov.shape[:2]
     r = ensemble.dim // (groups * s)
-    delta = ensemble.targets.blocks - solutions
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         r_delta = np.einsum("kij,...kj->...ki", ensemble.regressor_cov, delta)
         scale = np.einsum("...ki,...ki->...k", delta, r_delta) + ensemble.noise_var
@@ -371,18 +370,18 @@ def _noise_blocks(ensemble: TaskEnsemble, solutions: np.ndarray) -> np.ndarray:
 
 
 def _per_frequency_terms(
-    ensemble: TaskEnsemble, g: Graph, mu: float, etas: np.ndarray, solutions: np.ndarray
+    ensemble: TaskEnsemble, g: Graph, mu: float, etas: np.ndarray, deltas: np.ndarray
 ) -> np.ndarray:
     """Summands of the steady-state predictor, one per eta of etas (E,) and
-    graph frequency m, from W0_eta as (E, N, M) blocks: mu/(2N) * Tr(C_m^{-1}
-    N_m), C_m = sum_k v_m(k)^2 R_k + eta lambda_m I and N_m the same mixture of
-    the noise covariances, all mixed in one product.  C_m is block-diagonal
-    over the coupled groups and the trace is linear in N_m, so each group
-    needs its copy-summed noise block alone: E * N * G solves.
+    graph frequency m, from the mismatches W0 - W0_eta as (E, N, M) blocks:
+    mu/(2N) * Tr(C_m^{-1} N_m), C_m = sum_k v_m(k)^2 R_k + eta lambda_m I and
+    N_m the same mixture of the noise covariances, all mixed in one product.
+    C_m is block-diagonal over the coupled groups and the trace is linear in
+    N_m, so each group needs its copy-summed noise block alone: E * N * G solves.
     """
     cov = ensemble.coupled_cov
     n, groups, s = ensemble.n_agents, cov.shape[0], cov.shape[1]
-    noise = _noise_blocks(ensemble, solutions).transpose(1, 0, 2, 3, 4)
+    noise = _noise_blocks(ensemble, deltas).transpose(1, 0, 2, 3, 4)
     stack = np.concatenate((noise.reshape(n, -1, s, s), cov.transpose(3, 0, 1, 2)), axis=1)
     mixed = ((g.eigenvectors**2).T @ stack.reshape(n, -1)).reshape(stack.shape)
     noise = mixed[:, :-groups].reshape(noise.shape).transpose(1, 0, 2, 3, 4)
@@ -404,18 +403,18 @@ def msd_noncoop(ensemble: TaskEnsemble, mu: float) -> float:
 
 def _reports(ensemble: TaskEnsemble, g: Graph, mu: float, etas: Sequence) -> list[TheoryReport]:
     """The report at (mu, eta) for every eta of etas: every point is checked
-    first, then one W0_eta solve, one bias solve and one per-frequency pass
+    first, then one mismatch solve, one bias solve and one per-frequency pass
     serve them all.  They compute with the admitted values as Python floats."""
     _require_stable(ensemble, g, [mu], etas)
     mu, etas = float(mu), np.array(etas, dtype=float)
-    sols = _solve(ensemble, g, etas)
-    biases = _solve(ensemble, g, etas, mu, sols).reshape(len(etas), -1)
-    terms = _per_frequency_terms(ensemble, g, mu, etas, sols)
+    deltas = _solve(ensemble, g, etas)
+    biases = _solve(ensemble, g, etas, mu, deltas).reshape(len(etas), -1)
+    terms = _per_frequency_terms(ensemble, g, mu, etas, deltas)
     n, noncoop, reports = ensemble.n_agents, msd_noncoop(ensemble, mu), []
-    for eta, sol, bias, msd in zip(etas, sols, biases, terms):
-        reg = _regularized(ensemble, float(eta), sol)
+    for eta, delta, bias, msd in zip(etas, deltas, biases, terms):
+        reg = _regularized(ensemble, float(eta), delta)
         total = float(msd.sum())
-        cross = 2.0 / n * float((ensemble.targets.values - reg.solution.values) @ bias)
+        cross = 2.0 / n * float(delta.ravel() @ bias)
         reports.append(TheoryReport(
             mu=mu, eta=reg.eta, msd_total=total, msd_per_frequency=msd, msd_noncoop=noncoop,
             msd_bar=total + reg.mismatch_sq / n + cross, mismatch_sq=reg.mismatch_sq,
@@ -478,14 +477,14 @@ def bias_surface(
     theory_report(ensemble, g, mus[j], etas[i]).bias_sq_norm.
 
     Every pair is checked before anything is solved, so an inadmissible pair
-    raises UnstableConfiguration without a solve.  W0_eta does not depend on
-    mu, so it is solved once for all etas, and the bias once per mu.
+    raises UnstableConfiguration without a solve.  The mismatch does not depend
+    on mu, so it is solved once for all etas, and the bias once per mu.
     """
     _require_stable(ensemble, g, mus, etas)
     etas = np.array([check_real("eta", eta, positive=False) for eta in etas])
-    sols = _solve(ensemble, g, etas)
+    deltas = _solve(ensemble, g, etas)
     surface = np.empty((len(etas), len(mus)))
     for j, mu in enumerate(mus):
-        biases = _solve(ensemble, g, etas, check_real("mu", mu, positive=True), sols)
+        biases = _solve(ensemble, g, etas, check_real("mu", mu, positive=True), deltas)
         surface[:, j] = [b.ravel() @ b.ravel() for b in biases]
     return surface

@@ -287,7 +287,7 @@ def test_criterion_7_noise_covariance_oracle():
         eta = float(rng.uniform(1.0, 5.0))
         reg = mt.solve_regularized(ens, g, eta)
         k = int(rng.integers(0, n))
-        closed = _noise_blocks(ens, reg.solution.blocks)[k, 0]
+        closed = _noise_blocks(ens, ens.targets.blocks - reg.solution.blocks)[k, 0]
         sampled = empirical_noise_covariance(
             ens.regressor_cov[k],
             ens.targets.blocks[k],

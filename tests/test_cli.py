@@ -225,7 +225,7 @@ class TestBiasScanCommand:
         assert (out / "bias_scan.svg").exists()
 
     def test_one_solve_per_eta_and_surface_matches_pairs(self, tmp_path, monkeypatch):
-        """W0_eta is solved once for every eta and all mu, the bias once per
+        """The mismatch is solved once for every eta and all mu, the bias once per
         mu for every eta, and every cell equals the theory_report bias at its
         (mu, eta) pair exactly."""
         path = _write_config(
@@ -820,10 +820,7 @@ class TestRouteAgreement:
     error's type, and neither route warns.  On well-scaled draws
     (covariance eigenvalues in [1e-2, 1e2], certificate kappa <= 1e2 and
     mu * max h <= 0.5) the values agree within TestGridRoute's tolerances,
-    except that the bias cross term, an inner product with the cancelling
-    difference targets - W0_eta, is held to 1e-12 of msd_bar, the deviation
-    it is a term of: at etas far below the combine-step bound it is a
-    rounding residue that no two routes share to 1e-12 of itself.  Two
+    and the mismatch and bias cross term to 1e-12 of themselves.  Two
     backward-stable routes differ by about kappa times the unit roundoff, so
     the value check stops at kappa = 1e2: near 1e3 msd_bar differs by up to
     about 3e-12 between them."""
@@ -863,9 +860,8 @@ class TestRouteAgreement:
                 and mu * curv.max() <= 0.5):
             return
         for got, want in zip(sweep.reports, points):
-            for name in ("msd_bar", "msd_total"):
+            for name in ("msd_bar", "msd_total", "mismatch_sq", "bias_cross_term"):
                 assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0)
-            assert abs(got.bias_cross_term - want.bias_cross_term) <= 1e-12 * want.msd_bar
             terms = want.msd_per_frequency
             assert got.msd_per_frequency == pytest.approx(terms, rel=1e-12, abs=0.0)
             for a, b in [

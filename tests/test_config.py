@@ -72,6 +72,9 @@ class TestGrammar:
         ("algo.eta = log:0:1:3\n", "positive endpoints"),
         ("algo.eta = 0,,1\n", "empty list item"),
         ("algo.eta = lin:0:1:1\n", "count must be >= 2"),
+        ("algo.eta = 0, lin:1:2:1000000000000000\n", "at most 1000000"),  # refused, not allocated
+        ("algo.eta = 0, log:1:2:1000000000000000\n", "at most 1000000"),
+        ("algo.eta = lin:0:1:999999, lin:1:2:2\n", "at most 1000000"),  # counts add up
         ("output.db = maybe\n", "not a boolean"),
         ("algo.jobs = true\n", "bad value"),
         ("graph.n.extra = 1\n", "section.key"),
@@ -104,6 +107,7 @@ def test_syntax_errors_carry_line_numbers(text, fragment):
         "algo.steady_window_frac = 0",
         "output.formats = csv, pdf",
         "filter.lambda_points = 1",
+        "filter.lambda_points = 1000000000000000",  # refused, not allocated
         "filter.lambda_max = nan",
         "filter.lambda_max = inf",
     ],

@@ -78,6 +78,16 @@ class TestSolveRegularized:
         with pytest.raises(ValueError):
             mt.solve_regularized(het_ensemble, bench_graph, -1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_right_hand_side_raises(self):
+        """eta * (L kron I) W0 = 1e300 * 4e10 overflows: SingularSystem, not
+        an overflow warning."""
+        g = mt.build_graph(np.roll(np.eye(5), 1, axis=1) + np.roll(np.eye(5), -1, axis=1))
+        targets = mt.StackedSignal.from_blocks(np.outer([1e10, -1e10, 0.0, 0.0, 0.0], [1.0, 1.0]))
+        ens = mt.TaskEnsemble(targets, np.tile(np.eye(2), (5, 1, 1)), np.full(5, 0.1))
+        with pytest.raises(mt.SingularSystem, match="overflows"):
+            mt.solve_regularized(ens, g, 1e300)
+
     @settings(max_examples=30)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.1, 1.0, 25.0]))
     def test_optimality_property(self, seed, eta):
@@ -169,8 +179,8 @@ class TestStructuredCovariances:
         """theory_report hands _spd_solve one N x N system with M right-hand
         sides for isotropic covariances, M N x N systems for other diagonal
         ones and a single (NM) x (NM) system for full ones.  It makes exactly
-        three LAPACK solves and no factorization besides: the W0_eta stack,
-        the bias stack, shaped like the W0_eta one, and the per-frequency
+        three LAPACK solves and no factorization besides: the mismatch stack,
+        the bias stack, shaped like the mismatch one, and the per-frequency
         terms over the same groups ((1, N, G, s, s) curvatures against
         copy-summed (1, N, G, s, s) noise blocks, for the report's one eta)."""
         ens, g = _kind_problem(kind)

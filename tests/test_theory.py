@@ -16,6 +16,7 @@ from mtdiff import cli
 from mtdiff.theory import GRID_ROUTE_ETAS, _certified, _noise_blocks
 
 from helpers import (
+    _rational_solve,
     dense_frequency_msd,
     empirical_noise_covariance,
     gradient_noise_covariances,
@@ -41,7 +42,7 @@ def _copy_summed(ensemble, mats):
 class TestNoiseCovariance:
     def test_floor_at_eta_zero(self, het_ensemble, bench_graph):
         reg = mt.solve_regularized(het_ensemble, bench_graph, 0.0)
-        got = _noise_blocks(het_ensemble, reg.solution.blocks)
+        got = _noise_blocks(het_ensemble, het_ensemble.targets.blocks - reg.solution.blocks)
         assert got.shape == (15, 1, 1, 1)
         floor = het_ensemble.noise_var[:, None, None] * het_ensemble.regressor_cov
         assert np.allclose(got, _copy_summed(het_ensemble, floor), rtol=0, atol=1e-15)
@@ -49,7 +50,7 @@ class TestNoiseCovariance:
     def test_matches_sampled_covariance(self, het_ensemble, bench_graph):
         reg = mt.solve_regularized(het_ensemble, bench_graph, 5.0)
         k = 3
-        got = _noise_blocks(het_ensemble, reg.solution.blocks)[k]
+        got = _noise_blocks(het_ensemble, het_ensemble.targets.blocks - reg.solution.blocks)[k]
         emp = empirical_noise_covariance(
             het_ensemble.regressor_cov[k],
             het_ensemble.targets.blocks[k],
@@ -64,7 +65,8 @@ class TestNoiseCovariance:
 
     def test_symmetric_positive_definite(self, het_ensemble, bench_graph):
         reg = mt.solve_regularized(het_ensemble, bench_graph, 20.0)
-        for block in _noise_blocks(het_ensemble, reg.solution.blocks).reshape(-1, 1, 1):
+        noise = _noise_blocks(het_ensemble, het_ensemble.targets.blocks - reg.solution.blocks)
+        for block in noise.reshape(-1, 1, 1):
             assert np.allclose(block, block.T, atol=1e-14)
             assert np.linalg.eigvalsh(block).min() > 0.0
 
@@ -74,7 +76,7 @@ class TestNoiseCovariance:
         for every covariance structure, and each block SPD."""
         ens, g = _kind_problem(kind)
         reg = mt.solve_regularized(ens, g, 20.0)
-        got = _noise_blocks(ens, reg.solution.blocks)
+        got = _noise_blocks(ens, ens.targets.blocks - reg.solution.blocks)
         want = _copy_summed(ens, gradient_noise_covariances(ens, reg.solution.blocks))
         assert np.allclose(got, want, rtol=1e-14, atol=0.0)
         for block in got.reshape(-1, *got.shape[2:]):
@@ -159,6 +161,31 @@ class TestMsdBar:
         )
         assert rep.mismatch_sq > 0.0
 
+    def test_mismatch_matches_exact_solve(self):
+        """mismatch_sq at etas down to 1e-8 of the combine-step bound, from
+        per-point reports and from a grid of GRID_ROUTE_ETAS positive etas,
+        against the squared norm of the exact rational solution d of
+        (H + eta L kron I) d = eta (L kron I) W0 on the unit 5-ring with a
+        full M = 2 profile.  Forming W0 - W0_eta instead loses about the
+        unit roundoff divided by eta / bound."""
+        g = mt.build_graph(np.roll(np.eye(5), 1, axis=1) + np.roll(np.eye(5), -1, axis=1))
+        ens, mu = _full_ensemble(mt.make_smooth_target(g, [2.0, 3.0], 2)), 1e-2
+        bound = min(2.0 / g.lambda_max, 1.0 / g.max_degree) / mu
+        etas = bound * np.array([1e-8, 1e-6, 1e-4])
+        grid = np.concatenate([[0.0], etas, bound * np.geomspace(1e-3, 0.5, GRID_ROUTE_ETAS)])
+        sweep = mt.optimize_eta(ens, g, mu, grid)
+        exact = np.vectorize(Fraction, otypes=[object])  # each float as the rational it is
+        lap = exact(np.kron(g.laplacian, np.eye(2)))
+        hess = exact(np.einsum("ab,aij->aibj", np.eye(5), ens.regressor_cov).reshape(10, 10))
+        w0 = exact(ens.targets.values)
+        for got, eta in zip(sweep.reports[1:], etas):
+            q = Fraction(eta)
+            delta = _rational_solve((hess + q * lap).tolist(), (q * (lap @ w0)).tolist())
+            want = float(sum(d * d for d in delta))
+            assert got.mismatch_sq == pytest.approx(want, rel=1e-12, abs=0.0)
+            rep = mt.theory_report(ens, g, mu, eta)
+            assert rep.mismatch_sq == pytest.approx(want, rel=1e-12, abs=0.0)
+
 
 class TestOptimizeEta:
     def test_degenerate_grid(self, het_ensemble, bench_graph):
@@ -202,8 +229,8 @@ def _count_calls(monkeypatch, names):
     """Count the calls of the named library functions wherever the library
     calls them, and the matrices np.linalg.eigh decomposes under the name
     "eigh".  The shared solve theory._solve is recorded under "solve" as one
-    (mu, etas) pair per call from outside it, mu = 0 for W0_eta and the etas
-    as a tuple."""
+    (mu, etas) pair per call from outside it, mu = 0 for the mismatch
+    W0 - W0_eta and the etas as a tuple."""
     counts = {name: [] if name == "solve" else 0 for name in names}
     depth = []
 
@@ -214,12 +241,12 @@ def _count_calls(monkeypatch, names):
 
         return counted
 
-    def recorded(ens, g, etas, mu=0.0, solutions=None):
+    def recorded(ens, g, etas, mu=0.0, mismatches=None):
         if not depth:
             counts["solve"].append((mu, tuple(etas.tolist())))
         depth.append(mu)
         try:
-            return solve(ens, g, etas, mu, solutions)
+            return solve(ens, g, etas, mu, mismatches)
         finally:
             depth.pop()
 
@@ -239,15 +266,15 @@ def _count_calls(monkeypatch, names):
 
 
 def _solves(mu, etas):
-    """The shared solve's calls for a report at each eta of etas: W0_eta at
-    all of them, then the bias at all of them."""
+    """The shared solve's calls for a report at each eta of etas: the
+    mismatch at all of them, then the bias at all of them."""
     return [(0.0, tuple(etas)), (mu, tuple(etas))]
 
 
 class TestOneSolvePerPoint:
     """Every entry point for a (mu, eta) point, the simulation included,
     checks stability once and solves once per eta: one call of the shared
-    solve for W0_eta and one for the bias, each at the point's eta.
+    solve for the mismatch and one for the bias, each at the point's eta.
     optimize_eta checks every grid point and then makes those two calls for
     the whole grid (TestGridRoute)."""
 
@@ -312,10 +339,10 @@ def _varying150():
 class TestGridRoute:
     """The shared solve takes its pencil route, one eigendecomposition per
     coupled group and pencil for every eta, for every covariance profile, at
-    GRID_ROUTE_ETAS positive etas or more when mu * max h <= 1/2 (W0_eta has
-    mu = 0) and the sN x sN stack is certified well conditioned; otherwise
+    GRID_ROUTE_ETAS positive etas or more when mu * max h <= 1/2 (the mismatch
+    has mu = 0) and the sN x sN stack is certified well conditioned; otherwise
     each eta is one stack of LU solves.  optimize_eta checks every point,
-    then solves W0_eta and the bias once for the grid."""
+    then solves the mismatch and the bias once for the grid."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -369,7 +396,7 @@ class TestGridRoute:
         assert counts == self._counts(1e-3, grid, eigh)
 
     def test_solution_certificate_counts_the_system_size(self, calls, smooth_targets, bench_graph):
-        """Full covariances solve sN x sN systems, so W0_eta keeps its per-eta
+        """Full covariances solve sN x sN systems, so the mismatch keeps its per-eta
         stacks when the conditioning bound certifies N x N systems but not
         sN x sN ones, while the bias, whose bound 2 max h / min h is
         certified, takes its pencil."""
@@ -389,7 +416,7 @@ class TestGridRoute:
 
     def test_indefinite_bias_pencil_takes_the_lu_route(self, calls, het_ensemble, bench_graph):
         """mu * max h >= 1 makes H (I - mu H)^-1 indefinite, though mu < 2 / max h:
-        W0_eta keeps its pencils and the bias is one LU stack."""
+        the mismatch keeps its pencils and the bias is one LU stack."""
         mu = 0.9
         assert 1.0 <= mu * het_ensemble.regressor_eigvals.max() < 2.0
         grid = np.concatenate([[0.0], np.geomspace(0.01, 1.0, 10)])
@@ -406,10 +433,10 @@ class TestGridRoute:
         certified: the pencil's Cholesky factors could then fail where the
         per-point LU solve does not."""
         grid = np.concatenate([[0.0], np.geomspace(0.01, 1.0, 10)])
-        if case == "margin":  # W0_eta takes its one pencil
+        if case == "margin":  # the mismatch takes its one pencil
             ens, eigh = mt.varying_profile(smooth_targets, seed=7), 1
             mu = 0.75 / ens.regressor_eigvals.max()
-        else:  # W0_eta is not certified either: one eigh per eta in _spd_solve
+        else:  # the mismatch is not certified either: one eigh per eta in _spd_solve
             covs = np.array(_full_ensemble(smooth_targets).regressor_cov)
             covs[0] += (1e-16 - np.linalg.eigvalsh(covs[0])[0]) * np.eye(5)
             ens = mt.TaskEnsemble(smooth_targets, covs, np.full(15, 0.1))
@@ -423,7 +450,7 @@ class TestGridRoute:
     def test_uncertified_solution_stack_raises_as_at_one_point(
         self, calls, smooth_targets, bench_graph
     ):
-        """A W0_eta stack the conditioning bound cannot certify keeps the stack
+        """A mismatch stack the conditioning bound cannot certify keeps the stack
         route at any grid size, so a numerically singular one raises
         SingularSystem on a grid as at one point, not an overflow warning."""
         ens = mt.uniform_profile(smooth_targets, sigma_u_sq=2.2e-308, sigma_v_sq=1.0)
@@ -460,7 +487,7 @@ class TestBiasSurface:
         assert surface.shape == (len(etas), len(mus))
 
     def test_large_eta_grid_takes_the_pencil_route(self, monkeypatch, smooth_targets, bench_graph):
-        """W0_eta is solved once for every eta, from one eigh per group, and
+        """The mismatch is solved once for every eta, from one eigh per group, and
         the bias once per mu, from one more eigh per group."""
         ens = _diagonal_ensemble(smooth_targets)
         groups = ens.coupled_cov.shape[0]
